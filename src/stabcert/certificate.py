@@ -20,8 +20,9 @@ The decay certificate is assembled from one inequality per link:
   bounded by 4/(3c), and the decoupling transforms by 1 + (4/3)||gamma||/c.
 
 * The remaining small-|z| rectangle, which the interior estimate does not
-  reach, is checked by explicit resolvent evaluation on a dense grid; on
-  failure the certified abscissa is halved and the check repeats.
+  reach, is checked by explicit resolvent evaluation on a dense grid, and
+  the spectrum must lie strictly left of it; on failure the certified
+  abscissa is halved and the check repeats.
 
 All norms entering the formulas are measured from the matrices, never
 taken from user input.  The certified abscissa refers to the semigroup in
@@ -47,6 +48,7 @@ from .errors import (
 from .model import BlockSystem, Tolerances, operator_norm
 from .normalize import normalize_system
 from .helmholtz import decompose, restricted_generator
+from .verify import _resolvent_norms, spectral_abscissa
 
 __all__ = [
     "InvertibleCaseCertificate",
@@ -164,50 +166,94 @@ def damping_lower_bound(
     return u_term, v_term
 
 
-def optimize_shift(
-    c: float, gamma_norm: float, C_inv_norm: float, grid_steps: int = 2000
-) -> tuple[float, float, float, float]:
-    """Maximize d = (1/2) min(u_term, v_term) over a (delta, p) grid.
+# Young parameters stay strictly inside (0, 2).
+_P_MIN, _P_MAX = float(np.finfo(float).tiny), float(np.nextafter(2.0, 0.0))
+_EPS = float(np.finfo(float).eps)
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-    The delta axis is logarithmic near zero (small shifts always keep
-    u_term positive, so d > 0 is guaranteed); ties resolve toward the
-    smaller delta, which keeps the damping margin c_tilde conservative.
-    Returns ``(delta_star, p_star, c_tilde, d)``.
+
+def _balanced_margin(
+    c: float, gamma_norm: float, C_inv_norm: float, delta: float
+) -> tuple[float, float, float]:
+    """Best ``(d, p, u_term)`` over p at a fixed shift.
+
+    u_term rises and v_term falls with p, so the optimum is the positive
+    root of delta*p**2 + 2*(c - 2*delta)*p - delta*t**2 = 0, where they are
+    equal; each branch below is free of cancellation.  When d is far below
+    c, the computed u_term (c minus a nearly equal quantity) carries a
+    rounding error larger than d, so p raised by 64 ulps, where u_term no
+    longer binds, is tried as well.
+    """
+    t = (gamma_norm + delta) * C_inv_norm
+    b = c - 2.0 * delta
+    root = math.sqrt(b * b + (delta * t) * (delta * t))
+    p = delta * t * t / (b + root) if b > 0 else (root - b) / delta
+
+    def at(q):
+        q = min(max(q, _P_MIN), _P_MAX)
+        u_term, v_term = damping_lower_bound(c, gamma_norm, C_inv_norm, delta, q)
+        return 0.5 * min(u_term, v_term), q, u_term
+
+    return max(at(p), at(p * (1.0 + 64.0 * _EPS)))
+
+
+def optimize_shift(
+    c: float, gamma_norm: float, C_inv_norm: float
+) -> tuple[float, float, float, float]:
+    """Maximize d = (1/2) min(u_term, v_term) over the shift delta and p.
+
+    For each delta the best p is a closed-form root (see _balanced_margin).
+    u_term can be positive only below the root delta_hi of
+    delta*(1 + t**2/4) = c, and ``ceiling`` below is within a factor 3
+    above delta_hi.  The margin at delta_hi/2, p = 3/2 is at least
+    delta_hi/16 and every margin is below delta/2, so the best delta lies
+    in (ceiling/24, ceiling).  Every positive superlevel set of the margin
+    as a function of delta is an interval, so it is unimodal; it is still
+    bracketed on a coarse log grid before a golden-section search in
+    log delta.  Returns ``(delta_star, p_star, c_tilde, d)``, with c_tilde
+    and d exactly as :func:`damping_lower_bound` computes them there.
     """
     if not c > 0 or not C_inv_norm > 0:
         raise DegenerateProblem(
             f"need c > 0 and C_inv_norm > 0, got c={c!r}, C_inv_norm={C_inv_norm!r}"
         )
-    if gamma_norm < 0:
+    if not gamma_norm >= 0:
         raise ParameterOutOfRange("gamma_norm must be nonnegative")
-    if grid_steps < 2:
-        raise ParameterOutOfRange("grid_steps must be at least 2")
+    gK = gamma_norm * C_inv_norm
+    ceiling = min(c / (1.0 + 0.25 * gK * gK), (4.0 * c) ** (1 / 3) / C_inv_norm ** (2 / 3))
+    if not ceiling > 0:
+        raise DegenerateProblem("no positive shift keeps u_term positive")
 
-    deltas = c * np.geomspace(1e-9, 1.0 - 1e-9, grid_steps)
-    ps = np.linspace(0.0, 2.0, grid_steps + 2)[1:-1]
-    D, P = np.meshgrid(deltas, ps, indexing="ij")
-    T = (gamma_norm + D) * C_inv_norm
-    U = c - D * (1.0 + T * T / (2.0 * P))
-    V = D * (1.0 - 0.5 * P)
-    d_grid = 0.5 * np.minimum(U, V)
-    # C-order argmax scans p within fixed delta, so the first maximum sits
-    # at the smallest optimal delta.
-    i, j = np.unravel_index(int(np.argmax(d_grid)), d_grid.shape)
-    delta_star = float(deltas[i])
-    p_star = float(ps[j])
+    def margin(x):
+        return _balanced_margin(c, gamma_norm, C_inv_norm, math.exp(x))[0]
 
-    u_term, v_term = damping_lower_bound(c, gamma_norm, C_inv_norm, delta_star, p_star)
-    d = 0.5 * min(u_term, v_term)
+    xs = [math.log(ceiling) - 0.25 * math.log(2.0) * k for k in range(20, -1, -1)]
+    values = [margin(x) for x in xs]
+    i = max(range(len(xs)), key=values.__getitem__)
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    f1, f2 = margin(x1), margin(x2)
+    while b - a > 1e-10:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLDEN * (b - a)
+            f2 = margin(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLDEN * (b - a)
+            f1 = margin(x1)
+    delta_star = math.exp(max((values[i], xs[i]), (f1, x1), (f2, x2))[1])
+    d, p_star, u_term = _balanced_margin(c, gamma_norm, C_inv_norm, delta_star)
     if not d > 0:
         raise DegenerateProblem("shift optimization produced a nonpositive margin")
     return delta_star, p_star, u_term, d
 
 
 def invertible_certificate(
-    c: float, gamma_norm: float, C_inv_norm: float, grid_steps: int = 2000
+    c: float, gamma_norm: float, C_inv_norm: float
 ) -> InvertibleCaseCertificate:
     """Package the optimized shift with the interior resolvent bound."""
-    delta_star, p_star, c_tilde, d = optimize_shift(c, gamma_norm, C_inv_norm, grid_steps)
+    delta_star, p_star, c_tilde, d = optimize_shift(c, gamma_norm, C_inv_norm)
     M_inner = (2.0 / d) * ((1.0 + gamma_norm + delta_star) * C_inv_norm + 2.0)
     return InvertibleCaseCertificate(
         c=c,
@@ -230,43 +276,48 @@ def kernel_block_bound(c: float, re_z_floor: float) -> float:
     return 1.0 / (re_z_floor + c)
 
 
-def _audit_rectangle(
-    B: np.ndarray, delta: float, im_half: float, M_total: float, points: int = 41
-) -> tuple[bool, float, int]:
-    """Evaluate the resolvent of B on [-delta, 0] x [-im_half, im_half].
+def _small_frequency_audit(
+    B_res: np.ndarray, delta: float, im_half: float, M_total: float, points: int
+) -> tuple[float, AuditRecord]:
+    """Halve the claimed abscissa until the small-frequency check passes.
 
-    Returns (ok, max finite resolvent norm, number of singular points).
+    The check passes when the spectrum of ``B_res`` lies strictly left of
+    Re z = -delta, and the resolvent on a points x points grid over
+    [-delta, 0] x [-im_half, im_half] stays within ``M_total`` with no
+    singular point.  Returns the certified abscissa and the audit record.
     """
-    m = B.shape[0]
-    if m == 0:
-        return True, 0.0, 0
-    eye = np.eye(m)
-    res = np.linspace(-delta, 0.0, points)
-    ims = np.linspace(-im_half, im_half, points)
-    ok = True
-    max_norm = 0.0
-    singular = 0
-    for a in res:
-        zs = a + 1j * ims
-        shifted = zs[:, None, None] * eye - B
-        svals = np.linalg.svd(shifted, compute_uv=False)
-        smin, smax = svals[:, -1], svals[:, 0]
-        bad = smin <= 1e-14 * smax
-        singular += int(np.count_nonzero(bad))
-        good = ~bad
-        if np.any(good):
-            norms = 1.0 / smin[good]
-            max_norm = max(max_norm, float(norms.max()))
-            if np.any(norms > M_total):
-                ok = False
-        if np.any(bad):
-            ok = False
-    return ok, max_norm, singular
+    abscissa = spectral_abscissa(B_res)
+    ims = 1j * np.linspace(-im_half, im_half, points)
+    max_norm, singular = math.nan, 0
+    for halvings in range(21):
+        if halvings:
+            delta *= 0.5
+        if not abscissa < -delta:
+            continue
+        zs = (np.linspace(-delta, 0.0, points)[:, None] + ims).ravel()
+        norms, hits = _resolvent_norms(B_res, zs)
+        max_norm = float(norms[~hits].max(initial=0.0))
+        singular = int(np.count_nonzero(hits))
+        if singular == 0 and max_norm <= M_total:
+            audit = AuditRecord(
+                passed=True,
+                halvings=halvings,
+                max_resolvent_norm=max_norm,
+                singular_hits=singular,
+                re_range=(-delta, 0.0),
+                im_range=(-im_half, im_half),
+                grid_shape=(points, points),
+            )
+            return delta, audit
+    raise CertificateFailure(
+        "small-frequency audit failed after 20 halvings; spectral abscissa "
+        f"{abscissa:.6g} vs -delta {-delta:.6g}, last grid max {max_norm:.6g} "
+        f"vs bound {M_total:.6g}, {singular} singular grid points"
+    )
 
 
 def full_certificate(
     sys: BlockSystem,
-    grid_steps: int = 2000,
     tol: Tolerances | None = None,
     audit_points: int = 41,
 ) -> StabilityCertificate:
@@ -279,8 +330,9 @@ def full_certificate(
         nontrivial; its dynamics then have no damping path and no product-
         space decay certificate exists.
     CertificateFailure
-        If the small-frequency audit cannot be satisfied even after
-        halving the claimed abscissa twenty times.
+        If the small-frequency audit (spectrum left of -delta, resolvent
+        grid within M_total) cannot be satisfied even after halving the
+        claimed abscissa twenty times.
     """
     ns = normalize_system(sys, tol)
     frames = decompose(ns.D, tol)
@@ -311,7 +363,7 @@ def full_certificate(
             gamma_eff = g
             transform_bound = 1.0
             kern = 0.0  # no kernel block to bound
-        inner = invertible_certificate(c_eff, gamma_eff, frames.C_tilde_inv_norm, grid_steps)
+        inner = invertible_certificate(c_eff, gamma_eff, frames.C_tilde_inv_norm)
         M_total = transform_bound**2 * max(inner.M_inner, kern) * kappa_norm**2
         delta0 = min(a0, inner.d)
         im_half = 2.0 * inner.delta_star
@@ -329,30 +381,7 @@ def full_certificate(
         im_half = 2.0 * delta0
 
     B_res = restricted_generator(ns.gamma_tilde, frames)
-    delta = delta0
-    halvings = 0
-    while True:
-        ok, max_norm, singular = _audit_rectangle(B_res, delta, im_half, M_total, audit_points)
-        if ok:
-            break
-        halvings += 1
-        delta *= 0.5
-        if halvings > 20:
-            raise CertificateFailure(
-                "small-frequency audit failed after 20 halvings; "
-                f"last grid max {max_norm:.6g} vs bound {M_total:.6g}, "
-                f"{singular} singular grid points"
-            )
-
-    audit = AuditRecord(
-        passed=True,
-        halvings=halvings,
-        max_resolvent_norm=max_norm,
-        singular_hits=singular,
-        re_range=(-delta, 0.0),
-        im_range=(-im_half, im_half),
-        grid_shape=(audit_points, audit_points),
-    )
+    delta, audit = _small_frequency_audit(B_res, delta0, im_half, M_total, audit_points)
     return StabilityCertificate(
         delta_cert=delta,
         M_total=M_total,

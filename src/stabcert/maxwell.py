@@ -193,12 +193,12 @@ def maxwell_report(
     samples: int = 801,
     lambda_max: float = 50.0,
     sweep_points: int = 401,
-    grid_steps: int = 2000,
     tol: Tolerances | None = None,
 ) -> MaxwellReport:
     """Certify a damped grid system and audit it end to end.
 
-    Runs the full certificate, sweeps the restricted generator at
+    Runs the full certificate (closed-form shift optimization, then the
+    small-frequency audit), sweeps the restricted generator at
     abscissae 0 and -delta_cert/2, and simulates a random admissible
     initial state in unit-weight variables.  The report is rejected
     (CertificateFailure) if any of the recorded checks fails: singular
@@ -206,7 +206,7 @@ def maxwell_report(
     increasing state norms.
     """
     sys = build_maxwell_system(spec, eps, mu, sigma, tol)
-    cert = full_certificate(sys, grid_steps=grid_steps, tol=tol)
+    cert = full_certificate(sys, tol=tol)
     ns = normalize_system(sys, tol)
     frames = decompose(ns.D, tol)
     B_res = restricted_generator(ns.gamma_tilde, frames)

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stabcert as sc
 from stabcert import (
+    CertificateFailure,
     DegenerateProblem,
     HalfPlaneViolation,
     ParameterOutOfRange,
     ZeroRangeOperator,
 )
+
+from stabcert.certificate import _small_frequency_audit
+from stabcert.verify import _resolvent_norms
 
 from helpers import haar_unitary, random_block_system, random_coercive
 
@@ -66,6 +71,17 @@ def _brute_force_shift(c, gamma_norm, C_inv_norm):
     return best
 
 
+def _grid_shift(c, gamma_norm, C_inv_norm, steps=400):
+    """Reference: the best d on the log-delta by linear-p grid the optimizer replaced."""
+    deltas = c * np.geomspace(1e-9, 1.0 - 1e-9, steps)
+    ps = np.linspace(0.0, 2.0, steps + 2)[1:-1]
+    D, P = np.meshgrid(deltas, ps, indexing="ij")
+    T = (gamma_norm + D) * C_inv_norm
+    U = c - D * (1.0 + T * T / (2.0 * P))
+    V = D * (1.0 - 0.5 * P)
+    return float((0.5 * np.minimum(U, V)).max())
+
+
 class TestOptimizeShift:
     def test_unit_constants(self):
         delta, p, c_tilde, d = sc.optimize_shift(1.0, 1.0, 1.0)
@@ -106,6 +122,37 @@ class TestOptimizeShift:
             sc.optimize_shift(0.0, 1.0, 1.0)
         with pytest.raises(DegenerateProblem):
             sc.optimize_shift(1.0, 1.0, 0.0)
+        # ((gamma_norm + delta) * C_inv_norm)**2 overflows for every shift.
+        with pytest.raises(DegenerateProblem):
+            sc.optimize_shift(1.0, 1e200, 1e200)
+
+    def test_weak_coupling_certified_below_old_grid_floor(self):
+        # u_term can only be positive for delta below about 4e-15, far under
+        # the 1e-9 * c floor of a fixed log grid; the margin is still positive.
+        c, g, k = 1e-3, 1.0, 1e6
+        delta, p, c_tilde, d = sc.optimize_shift(c, g, k)
+        assert d > 0
+        assert 0 < delta < 1e-9 * c
+        assert 0 < p < 2
+        u, v = sc.damping_lower_bound(c, g, k, delta, p)
+        assert d == 0.5 * min(u, v)
+        assert c_tilde == u
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.floats(1e-3, 1e3),
+        gamma_norm=st.floats(0.0, 1e3),
+        C_inv_norm=st.floats(1e-6, 1e6),
+    )
+    def test_admissible_and_no_worse_than_grid(self, c, gamma_norm, C_inv_norm):
+        delta, p, c_tilde, d = sc.optimize_shift(c, gamma_norm, C_inv_norm)
+        assert 0 < delta < c
+        assert 0 < p < 2
+        assert d > 0
+        u, v = sc.damping_lower_bound(c, gamma_norm, C_inv_norm, delta, p)
+        assert d == 0.5 * min(u, v)
+        assert c_tilde == u
+        assert d >= _grid_shift(c, gamma_norm, C_inv_norm) - 1e-12
 
 
 class TestInvertibleCertificate:
@@ -176,6 +223,35 @@ class TestShiftedBlockCoercivity:
             block[n:, n:] = delta * np.eye(n)
             block += z * np.eye(2 * n)
             assert sc.hermitian_min_eig(block) >= z.real + min(u, v) - 1e-10
+
+
+class TestSmallFrequencyAudit:
+    # 41 x 41 nodes on [-0.1, 0] x [-0.2, 0.2] sit at multiples of 0.0025
+    # (real part) and 0.01 (imaginary part); lam lies between them.
+    LAM = -0.05125 + 0.005j
+
+    @staticmethod
+    def _b_res(lam):
+        return np.array(
+            [[lam, 1.0, 0.0], [0.0, -1.0 + 0.3j, 1.0], [0.0, 0.0, -2.0]], dtype=complex
+        )
+
+    def test_eigenvalue_between_grid_nodes_forces_halving(self):
+        B = self._b_res(self.LAM)
+        # Sampling alone never sees the eigenvalue ...
+        zs = (np.linspace(-0.1, 0.0, 41)[:, None] + 1j * np.linspace(-0.2, 0.2, 41)).ravel()
+        norms, singular = _resolvent_norms(B, zs)
+        assert not singular.any() and norms.max() <= 1e300
+        # ... so the spectrum check must push delta past it.
+        delta, audit = _small_frequency_audit(B, 0.1, 0.2, 1e300, 41)
+        assert delta < -self.LAM.real
+        assert audit.halvings == 1
+        assert audit.re_range == (-delta, 0.0)
+
+    def test_spectrum_in_right_half_plane_fails(self):
+        B = self._b_res(0.01 + 0.005j)
+        with pytest.raises(CertificateFailure, match="spectral abscissa 0.01 "):
+            _small_frequency_audit(B, 0.1, 0.2, 1e300, 41)
 
 
 class TestFullCertificate:

@@ -15,6 +15,7 @@ from stabcert import (
     Underflow,
     ZeroFrequency,
 )
+from stabcert.verify import _RESOLVENT_STACK_BYTES, _resolvent_norms
 
 from helpers import (
     assemble_shifted,
@@ -89,6 +90,71 @@ class TestResolventNorm:
         z = 1e3 * sc.operator_norm(B) * np.exp(0.3j)
         value = sc.resolvent_norm(B, z)
         assert abs(value - 1.0 / abs(z)) <= 0.01 / abs(z)
+
+
+def _per_point_norms(B, zs):
+    """Reference: one SVD per frequency, as 1/sigma_min(z I - B)."""
+    out = []
+    for z in zs:
+        s = np.linalg.svd(z * np.eye(B.shape[0]) - B, compute_uv=False)
+        out.append(1.0 / s[-1])
+    return np.array(out)
+
+
+def _corpus_generator():
+    """Restricted generator of the first rank >= 1 system of the acceptance corpus."""
+    rng = np.random.default_rng(20260810)
+    r = 0
+    while r == 0:
+        n0, n1 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        r = int(rng.integers(0, min(n0, n1) + 1))
+        system = random_block_system(rng, n0, n1, r)
+    ns = sc.normalize_system(system)
+    return sc.restricted_generator(ns.gamma_tilde, sc.decompose(ns.D))
+
+
+class TestResolventNorms:
+    def test_scalar_and_corpus_match_per_point_svd_bit_for_bit(self):
+        lambdas = np.linspace(-50.0, 50.0, 401)
+        for B in (sc.assemble_generator([[1.0]], [[1.0]]), _corpus_generator()):
+            for a in (0.0, -0.0123):
+                zs = a + 1j * lambdas
+                norms, singular = _resolvent_norms(B, zs)
+                assert not singular.any()
+                assert np.array_equal(norms, _per_point_norms(B, zs))
+
+    def test_grid_generator_across_chunks_bit_for_bit(self):
+        s = sc.build_maxwell_system(sc.GridSpec(N=3))
+        ns = sc.normalize_system(s)
+        B = sc.restricted_generator(ns.gamma_tilde, sc.decompose(ns.D))
+        chunk = _RESOLVENT_STACK_BYTES // (16 * B.shape[0] ** 2)
+        points = chunk + chunk // 2 + 1
+        assert 1 < chunk < points and points % chunk
+        zs = -0.01 + 1j * np.linspace(-3.0, 3.0, points)
+        norms, singular = _resolvent_norms(B, zs)
+        assert not singular.any()
+        assert np.array_equal(norms, _per_point_norms(B, zs))
+
+    def test_singular_mask_matches_resolvent_norm(self):
+        B = sc.assemble_generator([[0.0]], [[1.0]])
+        zs = 1j * np.linspace(-2.0, 2.0, 401)
+        norms, singular = _resolvent_norms(B, zs)
+        raised = []
+        for z in zs:
+            try:
+                sc.resolvent_norm(B, z)
+                raised.append(False)
+            except Singular:
+                raised.append(True)
+        assert np.array_equal(singular, raised)
+        assert np.isclose(zs[singular].imag, [-1.0, 1.0]).all()
+        assert np.all(np.isinf(norms[singular]))
+        assert np.all(np.isfinite(norms[~singular]))
+
+    def test_empty_generator(self):
+        norms, singular = _resolvent_norms(np.zeros((0, 0), dtype=complex), [0.5, 1j])
+        assert norms.tolist() == [0.0, 0.0]
+        assert not singular.any()
 
 
 class TestGpSweep:
