@@ -24,15 +24,15 @@ def main():
     print("  max entry of K @ grad:  %.1e" % np.abs(curl.K @ curl.grad).max())
     print("  closed-range constant:  %.6f (= sqrt(3)/2 on this grid)" % curl.sigma_min_pos)
 
-    report = sc.maxwell_report(spec, eps=1.0, mu=1.0, sigma=1.0, samples=401)
-    cert = report.certificate
+    audit = sc.maxwell_report(spec, eps=1.0, mu=1.0, sigma=1.0, samples=401)
+    cert = audit.certificate
     print("\nunit-conductivity system (%d x %d generator):" % (2 * n, 2 * n))
     print("  certified decay rate:   %.5f" % cert.delta_cert)
     print("  resolvent bound:        %.1f" % cert.M_total)
-    print("  fitted decay rate:      %.5f" % report.fitted_rate)
+    print("  fitted decay rate:      %.5f" % audit.fitted_rate)
     print("  projection residual of the random initial state: %.3f"
-          % report.projection_residual)
-    for sweep in report.sweeps:
+          % audit.projection_residual)
+    for sweep in audit.sweeps:
         print("  sweep at Re z = %+.5f: max %.3f, singular points: %d"
               % (sweep.abscissa, sweep.max_norm, sweep.n_singular))
 

@@ -56,6 +56,7 @@ from .certificate import (
     AuditRecord,
     InvertibleCaseCertificate,
     StabilityCertificate,
+    audit_system,
     damping_lower_bound,
     full_certificate,
     invertible_certificate,
@@ -80,7 +81,6 @@ from .verify import (
 from .maxwell import (
     DiscreteCurl,
     GridSpec,
-    MaxwellReport,
     build_curl,
     build_maxwell_system,
     maxwell_report,
@@ -103,7 +103,6 @@ __all__ = [
     "DissipativityReport",
     "GridSpec",
     "DiscreteCurl",
-    "MaxwellReport",
     "FORMULAS",
     "validate_system",
     "hermitian_min_eig",
@@ -121,6 +120,7 @@ __all__ = [
     "invertible_certificate",
     "kernel_block_bound",
     "full_certificate",
+    "audit_system",
     "assemble_generator",
     "check_m_dissipative",
     "resolvent_norm",

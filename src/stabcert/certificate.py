@@ -24,6 +24,9 @@ The decay certificate is assembled from one inequality per link:
   the spectrum must lie strictly left of it; on failure the certified
   abscissa is halved and the check repeats.
 
+:func:`full_certificate` and :func:`audit_system`, which adds the oracle
+checks, share one :func:`prepare` of the system.
+
 All norms entering the formulas are measured from the matrices, never
 taken from user input.  The certified abscissa refers to the semigroup in
 normalized (unit-weight) variables restricted to H0 x ran(coupling); the
@@ -45,21 +48,35 @@ from .errors import (
     ParameterOutOfRange,
     ZeroRangeOperator,
 )
-from .model import BlockSystem, Tolerances, operator_norm
-from .normalize import normalize_system
-from .helmholtz import decompose, restricted_generator
-from .verify import _resolvent_norms, spectral_abscissa
+from .model import BlockSystem, ComplexMatrix, Tolerances, operator_norm
+from .normalize import NormalizedSystem, normalize_system
+from .helmholtz import HelmholtzFrames, decompose, restricted_generator
+from .verify import (
+    ResolventSweepReport,
+    TrajectoryTrace,
+    _resolvent_norms,
+    admissible_start,
+    assemble_generator,
+    fit_decay_rate,
+    gp_sweep,
+    simulate,
+    spectral_abscissa,
+)
 
 __all__ = [
     "InvertibleCaseCertificate",
     "AuditRecord",
     "StabilityCertificate",
+    "PreparedProblem",
+    "SystemAudit",
     "FORMULAS",
     "damping_lower_bound",
     "optimize_shift",
     "invertible_certificate",
     "kernel_block_bound",
+    "prepare",
     "full_certificate",
+    "audit_system",
 ]
 
 # Exact formulas behind every reported constant, for hand re-derivation.
@@ -142,6 +159,40 @@ class StabilityCertificate:
     audit: AuditRecord
 
 
+@dataclass(frozen=True)
+class PreparedProblem:
+    """A system after the steps every certificate starts from.
+
+    ``normalized`` is the unit-weight system, ``frames`` the range/kernel
+    frames of its coupling ``D``, ``B_res`` the normalized generator
+    restricted to H0 x ran(D) in frame coordinates, and ``abscissa`` the
+    largest real part of its spectrum.
+    """
+
+    normalized: NormalizedSystem
+    frames: HelmholtzFrames
+    B_res: ComplexMatrix
+    abscissa: float
+
+
+@dataclass(frozen=True)
+class SystemAudit:
+    """A certificate together with the independent oracles that check it.
+
+    ``sweeps`` are the resolvent sweeps at Re z = 0 and -delta_cert/2,
+    ``trace`` the trajectory of a random admissible start, and ``checks``
+    the verdict of each comparison between certificate and oracle.
+    """
+
+    certificate: StabilityCertificate
+    abscissa: float
+    sweeps: tuple[ResolventSweepReport, ResolventSweepReport]
+    trace: TrajectoryTrace
+    fitted_rate: float
+    projection_residual: float
+    checks: dict
+
+
 def damping_lower_bound(
     c: float, gamma_norm: float, C_inv_norm: float, delta: float, p: float
 ) -> tuple[float, float]:
@@ -185,8 +236,12 @@ def _balanced_margin(
     longer binds, is tried as well.
     """
     t = (gamma_norm + delta) * C_inv_norm
-    b = c - 2.0 * delta
-    root = math.sqrt(b * b + (delta * t) * (delta * t))
+    b, y = c - 2.0 * delta, delta * t
+    # sqrt(b*b + y*y) on operands scaled by a power of two: no overflow, and
+    # since the scaling is exact, the plain formula's bits wherever it works.
+    e = math.frexp(max(abs(b), y))[1]
+    bs, ys = math.ldexp(b, -e), math.ldexp(y, -e)
+    root = math.ldexp(math.sqrt(bs * bs + ys * ys), e)
     p = delta * t * t / (b + root) if b > 0 else (root - b) / delta
 
     def at(q):
@@ -277,16 +332,21 @@ def kernel_block_bound(c: float, re_z_floor: float) -> float:
 
 
 def _small_frequency_audit(
-    B_res: np.ndarray, delta: float, im_half: float, M_total: float, points: int
+    B_res: np.ndarray,
+    abscissa: float,
+    delta: float,
+    im_half: float,
+    M_total: float,
+    points: int,
 ) -> tuple[float, AuditRecord]:
     """Halve the claimed abscissa until the small-frequency check passes.
 
-    The check passes when the spectrum of ``B_res`` lies strictly left of
-    Re z = -delta, and the resolvent on a points x points grid over
-    [-delta, 0] x [-im_half, im_half] stays within ``M_total`` with no
-    singular point.  Returns the certified abscissa and the audit record.
+    The check passes when the spectrum of ``B_res``, whose largest real
+    part is ``abscissa``, lies strictly left of Re z = -delta, and the
+    resolvent on a points x points grid over [-delta, 0] x [-im_half, im_half]
+    stays within ``M_total`` with no singular point.  Returns the certified
+    abscissa and the audit record.
     """
-    abscissa = spectral_abscissa(B_res)
     ims = 1j * np.linspace(-im_half, im_half, points)
     max_norm, singular = math.nan, 0
     for halvings in range(21):
@@ -316,12 +376,8 @@ def _small_frequency_audit(
     )
 
 
-def full_certificate(
-    sys: BlockSystem,
-    tol: Tolerances | None = None,
-    audit_points: int = 41,
-) -> StabilityCertificate:
-    """Run the whole chain: normalize, decompose, optimize, audit.
+def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
+    """Normalize, decompose, and build the restricted generator once.
 
     Raises
     ------
@@ -329,19 +385,41 @@ def full_certificate(
         If the coupling has rank zero while the second component space is
         nontrivial; its dynamics then have no damping path and no product-
         space decay certificate exists.
+    """
+    ns = normalize_system(sys, tol)
+    frames = decompose(ns.D, tol)
+    if frames.r == 0 and sys.n1 > 0:
+        raise ZeroRangeOperator(
+            "coupling operator has rank 0 but the second component space has "
+            f"dimension {sys.n1}; only the damped first-component block decays"
+        )
+    B_res = restricted_generator(ns.gamma_tilde, frames)
+    return PreparedProblem(ns, frames, B_res, spectral_abscissa(B_res))
+
+
+def full_certificate(
+    sys: BlockSystem | PreparedProblem,
+    tol: Tolerances | None = None,
+    audit_points: int = 41,
+) -> StabilityCertificate:
+    """Run the whole chain: normalize, decompose, optimize, audit.
+
+    ``sys`` is a block system, or a :class:`PreparedProblem` whose
+    normalization, frames and restricted generator are reused (``tol`` is
+    then ignored).
+
+    Raises
+    ------
+    ZeroRangeOperator
+        As :func:`prepare`.
     CertificateFailure
         If the small-frequency audit (spectrum left of -delta, resolvent
         grid within M_total) cannot be satisfied even after halving the
         claimed abscissa twenty times.
     """
-    ns = normalize_system(sys, tol)
-    frames = decompose(ns.D, tol)
-    r, n0, n1 = frames.r, sys.n0, sys.n1
-    if r == 0 and n1 > 0:
-        raise ZeroRangeOperator(
-            "coupling operator has rank 0 but the second component space has "
-            f"dimension {n1}; only the damped first-component block decays"
-        )
+    prep = sys if isinstance(sys, PreparedProblem) else prepare(sys, tol)
+    ns, frames = prep.normalized, prep.frames
+    r, n0, n1 = frames.r, ns.n0, ns.n1
 
     c = ns.c_gamma_tilde
     g = operator_norm(ns.gamma_tilde)
@@ -350,19 +428,15 @@ def full_certificate(
     ) * max(operator_norm(ns.sqrt_alpha_inv), operator_norm(ns.sqrt_beta_inv))
 
     a0 = c / 4.0
-    has_kernel = r < n0
+    kern = kernel_block_bound(c, -a0) if r < n0 else 0.0  # 0.0: no kernel block
+    if 0 < r < n0:
+        c_eff = 0.75 * c
+        gamma_eff = g + (4.0 / 3.0) * g * g / c
+        transform_bound = 1.0 + (4.0 / 3.0) * g / c
+    else:
+        c_eff, gamma_eff, transform_bound = c, g, 1.0
 
     if r >= 1:
-        if has_kernel:
-            c_eff = 0.75 * c
-            gamma_eff = g + (4.0 / 3.0) * g * g / c
-            transform_bound = 1.0 + (4.0 / 3.0) * g / c
-            kern = kernel_block_bound(c, -a0)
-        else:
-            c_eff = c
-            gamma_eff = g
-            transform_bound = 1.0
-            kern = 0.0  # no kernel block to bound
         inner = invertible_certificate(c_eff, gamma_eff, frames.C_tilde_inv_norm)
         M_total = transform_bound**2 * max(inner.M_inner, kern) * kappa_norm**2
         delta0 = min(a0, inner.d)
@@ -372,16 +446,13 @@ def full_certificate(
         # kernel-block bound covers every frequency with Re z > -c, so the
         # audit has no gap to close.
         inner = None
-        c_eff = c
-        gamma_eff = g
-        transform_bound = 1.0
-        kern = kernel_block_bound(c, -a0)
         M_total = kern * kappa_norm**2
         delta0 = a0
         im_half = 2.0 * delta0
 
-    B_res = restricted_generator(ns.gamma_tilde, frames)
-    delta, audit = _small_frequency_audit(B_res, delta0, im_half, M_total, audit_points)
+    delta, audit = _small_frequency_audit(
+        prep.B_res, prep.abscissa, delta0, im_half, M_total, audit_points
+    )
     return StabilityCertificate(
         delta_cert=delta,
         M_total=M_total,
@@ -399,4 +470,63 @@ def full_certificate(
         n1=n1,
         inner=inner,
         audit=audit,
+    )
+
+
+def audit_system(
+    sys: BlockSystem,
+    tol: Tolerances | None = None,
+    *,
+    seed: int = 0,
+    t_end: float = 20.0,
+    samples: int = 801,
+    lambda_max: float = 50.0,
+    points: int = 401,
+) -> SystemAudit:
+    """Certify a system and check the certificate against every oracle.
+
+    The oracles: the spectral abscissa of the restricted generator, its
+    resolvent sweeps along Re z = 0 and -delta_cert/2 (``points``
+    frequencies in [-lambda_max, lambda_max]), and the decay rate fitted to
+    the trajectory of a random admissible start drawn from ``seed``.
+    ``checks`` holds one verdict per comparison.
+    """
+    prep = prepare(sys, tol)
+    ns = prep.normalized
+    cert = full_certificate(prep)
+    sweeps = tuple(
+        gp_sweep(prep.B_res, a, lambda_max, points) for a in (0.0, -cert.delta_cert / 2.0)
+    )
+
+    rng = np.random.default_rng(seed)
+    u0 = rng.standard_normal(sys.n0) + 1j * rng.standard_normal(sys.n0)
+    v_raw = rng.standard_normal(sys.n1) + 1j * rng.standard_normal(sys.n1)
+    U0, residual = admissible_start(sys, ns, u0, v_raw, tol)
+
+    # Keep the fit window clear of underflow for fast-decaying systems.
+    t_end = min(t_end, 50.0 / max(-prep.abscissa, 0.25))
+    trace = simulate(assemble_generator(ns.gamma_tilde, ns.D), U0, t_end, samples)
+    fitted = fit_decay_rate(trace)
+
+    bound = cert.M_total * (1.0 + 1e-6)
+    at_zero, at_half = (s.n_singular == 0 and s.max_norm <= bound for s in sweeps)
+    norms = trace.state_norms
+    checks = {
+        "audit_passed": bool(cert.audit.passed),
+        "spectral_abscissa_sound": bool(prep.abscissa <= -cert.delta_cert + 1e-9),
+        "sweep_at_zero_bounded": bool(at_zero),
+        "sweep_at_half_bounded": bool(at_half),
+        "decay_at_least_certified": bool(fitted >= cert.delta_cert - 1e-6),
+        "norms_non_increasing": bool(
+            np.all(np.diff(norms) <= 1e-10 * max(norms[0], 1.0))
+        ),
+    }
+    return SystemAudit(
+        certificate=cert,
+        abscissa=prep.abscissa,
+        sweeps=sweeps,
+        trace=trace,
+        fitted_rate=fitted,
+        projection_residual=residual,
+        checks=checks,
     )

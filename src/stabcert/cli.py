@@ -1,6 +1,8 @@
 """Command line driver: problem files in, report files out.
 
-This is the only module with I/O.  Problem and report files are JSON with
+This is the only module with I/O; ``certify`` serializes what
+:func:`stabcert.certificate.audit_system` returns, and the other commands
+call single steps of the chain.  Problem and report files are JSON with
 complex numbers stored as two-element [re, im] arrays and a
 ``schema_version`` gate.  Reports embed the exact formula strings behind
 every certified constant and the seed used for any randomized initial
@@ -14,26 +16,25 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import certificate as cert_mod
 from .errors import StabcertError
 from .model import Tolerances, validate_system
-from .normalize import map_state, normalize_system
+from .normalize import normalize_system
 from .helmholtz import decompose, decoupling_transforms, restricted_generator
-from .certificate import FORMULAS, full_certificate
+from .certificate import FORMULAS, audit_system
 from .maxwell import GridSpec, build_maxwell_system
 from .verify import (
-    admissible_initial,
+    admissible_start,
     assemble_generator,
     fit_decay_rate,
     gp_sweep,
     simulate,
-    spectral_abscissa,
 )
 
 SCHEMA_VERSION = 1
@@ -118,44 +119,9 @@ def _sweep_summary(report) -> dict:
 
 
 def _certificate_summary(cert) -> dict:
-    inner = None
-    if cert.inner is not None:
-        inner = {
-            "c": cert.inner.c,
-            "gamma_norm": cert.inner.gamma_norm,
-            "C_inv_norm": cert.inner.C_inv_norm,
-            "delta_star": cert.inner.delta_star,
-            "p_star": cert.inner.p_star,
-            "c_tilde": cert.inner.c_tilde,
-            "d": cert.inner.d,
-            "M_inner": cert.inner.M_inner,
-        }
-    return {
-        "delta_cert": cert.delta_cert,
-        "M_total": cert.M_total,
-        "working_abscissa": cert.working_abscissa,
-        "c_eff": cert.c_eff,
-        "gamma_eff": cert.gamma_eff,
-        "kernel_bound": cert.kernel_bound,
-        "transform_bound": cert.transform_bound,
-        "kappa_norm": cert.kappa_norm,
-        "c_gamma_tilde": cert.c_gamma_tilde,
-        "gamma_tilde_norm": cert.gamma_tilde_norm,
-        "sigma_min_pos": cert.sigma_min_pos,
-        "rank": cert.rank,
-        "n0": cert.n0,
-        "n1": cert.n1,
-        "inner": inner,
-        "audit": {
-            "passed": cert.audit.passed,
-            "halvings": cert.audit.halvings,
-            "max_resolvent_norm": _finite(cert.audit.max_resolvent_norm),
-            "singular_hits": cert.audit.singular_hits,
-            "re_range": list(cert.audit.re_range),
-            "im_range": list(cert.audit.im_range),
-            "grid_shape": list(cert.audit.grid_shape),
-        },
-    }
+    summary = dataclasses.asdict(cert)
+    summary["audit"]["max_resolvent_norm"] = _finite(cert.audit.max_resolvent_norm)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -164,63 +130,29 @@ def _certificate_summary(cert) -> dict:
 
 def _cmd_certify(args) -> int:
     system, tol = load_problem(args.problem)
-    cert = full_certificate(system, tol=tol)
-    ns = normalize_system(system, tol)
-    frames = decompose(ns.D, tol)
-    B_res = restricted_generator(ns.gamma_tilde, frames)
-
-    abscissa = spectral_abscissa(B_res)
-    sweep0 = gp_sweep(B_res, 0.0, args.lambda_max, args.points)
-    sweep_half = gp_sweep(B_res, -cert.delta_cert / 2.0, args.lambda_max, args.points)
-
-    rng = np.random.default_rng(args.seed)
-    n0, n1 = system.n0, system.n1
-    u0 = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
-    v_raw = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
-    frames_C = decompose(system.C, tol)
-    v_adm, residual = admissible_initial(system.beta, frames_C, v_raw)
-    U0 = map_state(ns, np.concatenate([u0, v_adm]), "forward")
-    U0 = U0 / np.linalg.norm(U0)
-
-    # Keep the fit window clear of underflow for fast-decaying systems.
-    t_end = min(args.t_end, 50.0 / max(-abscissa, 0.25))
-    B_norm = assemble_generator(ns.gamma_tilde, ns.D)
-    trace = simulate(B_norm, U0, t_end, args.samples)
-    fitted = fit_decay_rate(trace)
-
-    bound = cert.M_total * (1.0 + 1e-6)
-    verdicts = {
-        "audit_passed": bool(cert.audit.passed),
-        "spectral_abscissa_sound": bool(abscissa <= -cert.delta_cert + 1e-9),
-        "sweep_at_zero_bounded": bool(
-            sweep0.n_singular == 0 and sweep0.max_norm <= bound
-        ),
-        "sweep_at_half_bounded": bool(
-            sweep_half.n_singular == 0 and sweep_half.max_norm <= bound
-        ),
-        "decay_at_least_certified": bool(fitted >= cert.delta_cert - 1e-6),
-    }
+    audit = audit_system(system, tol, seed=args.seed, t_end=args.t_end, samples=args.samples,
+                         lambda_max=args.lambda_max, points=args.points)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "certificate": _certificate_summary(cert),
+        "certificate": _certificate_summary(audit.certificate),
         "formulas": FORMULAS,
         "oracles": {
-            "spectral_abscissa_restricted": abscissa,
-            "fitted_decay_rate": fitted,
+            "spectral_abscissa_restricted": audit.abscissa,
+            "fitted_decay_rate": audit.fitted_rate,
         },
-        "sweeps": [_sweep_summary(sweep0), _sweep_summary(sweep_half)],
+        "sweeps": [_sweep_summary(s) for s in audit.sweeps],
         "trajectory": {
-            "t_end": t_end,
+            "t_end": audit.trace.times[-1],
             "samples": args.samples,
             "seed": args.seed,
-            "projection_residual": residual,
-            "fitted_rate": fitted,
-            "method": trace.method,
+            "projection_residual": audit.projection_residual,
+            "fitted_rate": audit.fitted_rate,
+            "method": audit.trace.method,
         },
-        "verdicts": verdicts,
+        "verdicts": audit.checks,
     }
     _write_json(report, args.output)
-    return 0 if all(verdicts.values()) else 2
+    return 0 if all(audit.checks.values()) else 2
 
 
 def _cmd_sweep(args) -> int:
@@ -254,13 +186,7 @@ def _cmd_simulate(args) -> int:
         rng = np.random.default_rng(args.seed)
         U0_orig = rng.standard_normal(n0 + n1) + 1j * rng.standard_normal(n0 + n1)
         seed = args.seed
-    frames_C = decompose(system.C, tol)
-    v_adm, residual = admissible_initial(system.beta, frames_C, U0_orig[n0:])
-    U0 = map_state(ns, np.concatenate([U0_orig[:n0], v_adm]), "forward")
-    norm0 = np.linalg.norm(U0)
-    if norm0 > 0:
-        U0 = U0 / norm0
-
+    U0, residual = admissible_start(system, ns, U0_orig[:n0], U0_orig[n0:], tol)
     B_norm = assemble_generator(ns.gamma_tilde, ns.D)
     trace = simulate(B_norm, U0, args.t_end, args.samples)
     try:
@@ -274,7 +200,7 @@ def _cmd_simulate(args) -> int:
         "projection_residual": residual,
         "times": [float(t) for t in trace.times],
         "state_norms": [float(x) for x in trace.state_norms],
-        "fitted_rate": _finite(fitted) if fitted is not None else None,
+        "fitted_rate": _finite(fitted),
         "method": trace.method,
     }
     _write_json(report, args.output)

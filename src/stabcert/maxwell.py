@@ -27,24 +27,11 @@ import numpy as np
 
 from .errors import CertificateFailure, GridTooLarge, ParameterOutOfRange
 from .model import BlockSystem, ComplexMatrix, Tolerances
-from .normalize import normalize_system, map_state
-from .helmholtz import decompose, restricted_generator
-from .certificate import StabilityCertificate, full_certificate
-from .verify import (
-    ResolventSweepReport,
-    TrajectoryTrace,
-    admissible_initial,
-    assemble_generator,
-    fit_decay_rate,
-    gp_sweep,
-    simulate,
-)
-from dataclasses import replace
+from .certificate import SystemAudit, audit_system
 
 __all__ = [
     "GridSpec",
     "DiscreteCurl",
-    "MaxwellReport",
     "dense_limit",
     "build_curl",
     "build_maxwell_system",
@@ -169,20 +156,6 @@ def build_maxwell_system(
     return validate_system(alpha, beta, gamma, curl.K, tol)
 
 
-@dataclass(frozen=True)
-class MaxwellReport:
-    """Certificate, sweeps, and trajectory for one damped grid system."""
-
-    spec: GridSpec
-    certificate: StabilityCertificate
-    sweeps: tuple[ResolventSweepReport, ...]
-    trace: TrajectoryTrace
-    fitted_rate: float
-    projection_residual: float
-    seed: int
-    checks: dict
-
-
 def maxwell_report(
     spec: GridSpec,
     eps=1.0,
@@ -194,64 +167,15 @@ def maxwell_report(
     lambda_max: float = 50.0,
     sweep_points: int = 401,
     tol: Tolerances | None = None,
-) -> MaxwellReport:
-    """Certify a damped grid system and audit it end to end.
+) -> SystemAudit:
+    """:func:`~stabcert.certificate.audit_system` of a damped grid system.
 
-    Runs the full certificate (closed-form shift optimization, then the
-    small-frequency audit), sweeps the restricted generator at
-    abscissae 0 and -delta_cert/2, and simulates a random admissible
-    initial state in unit-weight variables.  The report is rejected
-    (CertificateFailure) if any of the recorded checks fails: singular
-    sweep points, a fitted decay rate below the certified one, or
-    increasing state norms.
+    Raises CertificateFailure if any of the audit's checks fails.
     """
-    sys = build_maxwell_system(spec, eps, mu, sigma, tol)
-    cert = full_certificate(sys, tol=tol)
-    ns = normalize_system(sys, tol)
-    frames = decompose(ns.D, tol)
-    B_res = restricted_generator(ns.gamma_tilde, frames)
-
-    sweeps = (
-        gp_sweep(B_res, 0.0, lambda_max, sweep_points),
-        gp_sweep(B_res, -cert.delta_cert / 2.0, lambda_max, sweep_points),
-    )
-
-    rng = np.random.default_rng(seed)
-    n0, n1 = sys.n0, sys.n1
-    u0 = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
-    v_raw = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
-    frames_C = decompose(sys.C, tol)
-    v_adm, residual = admissible_initial(sys.beta, frames_C, v_raw)
-    U0 = map_state(ns, np.concatenate([u0, v_adm]), "forward")
-    U0 = U0 / np.linalg.norm(U0)
-
-    B_norm = assemble_generator(ns.gamma_tilde, ns.D)
-    trace = simulate(B_norm, U0, t_end, samples)
-    fitted = fit_decay_rate(trace)
-    trace = replace(trace, fitted_rate=fitted, fit_window=(t_end / 2.0, t_end))
-
-    norms = trace.state_norms
-    checks = {
-        "no_singular_sweep_points": all(s.n_singular == 0 for s in sweeps),
-        "sweep_max_within_bound": all(
-            s.max_norm <= cert.M_total * (1.0 + 1e-6) for s in sweeps
-        ),
-        "fitted_rate_at_least_certified": fitted >= cert.delta_cert - 1e-6,
-        "norms_non_increasing": bool(
-            np.all(np.diff(norms) <= 1e-10 * max(norms[0], 1.0))
-        ),
-    }
-    if not all(checks.values()):
-        failed = [k for k, ok in checks.items() if not ok]
+    system = build_maxwell_system(spec, eps, mu, sigma, tol)
+    audit = audit_system(system, tol, seed=seed, t_end=t_end, samples=samples,
+                         lambda_max=lambda_max, points=sweep_points)
+    failed = [k for k, ok in audit.checks.items() if not ok]
+    if failed:
         raise CertificateFailure(f"grid system audit failed: {', '.join(failed)}")
-
-    return MaxwellReport(
-        spec=spec,
-        certificate=cert,
-        sweeps=sweeps,
-        trace=trace,
-        fitted_rate=fitted,
-        projection_residual=residual,
-        seed=seed,
-        checks=checks,
-    )
+    return audit

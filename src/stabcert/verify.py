@@ -27,8 +27,8 @@ from .errors import (
     ZeroFrequency,
 )
 from .model import ComplexMatrix, Tolerances, DEFAULT_TOLERANCES, as_complex_matrix
-from .normalize import NormalizedSystem
-from .helmholtz import HelmholtzFrames
+from .normalize import NormalizedSystem, map_state
+from .helmholtz import HelmholtzFrames, decompose
 
 __all__ = [
     "ResolventSweepReport",
@@ -42,6 +42,7 @@ __all__ = [
     "simulate",
     "fit_decay_rate",
     "admissible_initial",
+    "admissible_start",
     "block_inverse",
     "change_of_variables_residual",
 ]
@@ -312,6 +313,21 @@ def admissible_initial(beta, frames: HelmholtzFrames, v0) -> tuple[np.ndarray, f
     v_adm = np.linalg.solve(beta, projected) if n1 else v0.copy()
     residual = float(np.linalg.norm(v_adm - v0))
     return v_adm, residual
+
+
+def admissible_start(
+    sys, ns: NormalizedSystem, u0, v_raw, tol: Tolerances | None = None
+) -> tuple[np.ndarray, float]:
+    """Unit-norm normalized initial state from raw component draws.
+
+    ``v_raw`` is projected as in :func:`admissible_initial` with the frames
+    of ``sys.C``; ``(u0, v_adm)`` is mapped into the variables of ``ns`` and
+    scaled to norm one unless it vanishes.  Returns ``(U0, residual)``.
+    """
+    v_adm, residual = admissible_initial(sys.beta, decompose(sys.C, tol), v_raw)
+    U0 = map_state(ns, np.concatenate([u0, v_adm]), "forward")
+    norm0 = np.linalg.norm(U0)
+    return (U0 / norm0 if norm0 > 0 else U0), residual
 
 
 def block_inverse(A, Bop, Cop) -> ComplexMatrix:

@@ -138,6 +138,23 @@ class TestOptimizeShift:
         assert d == 0.5 * min(u, v)
         assert c_tilde == u
 
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    @pytest.mark.parametrize("c, gamma_norm, C_inv_norm", [(1.0, 1.0, 1.0), (0.3, 2.5, 0.7), (5.0, 0.1, 12.0)])
+    def test_margin_scales_with_damping(self, c, gamma_norm, C_inv_norm, s):
+        # u_term and v_term at (s*c, s*gamma_norm, C_inv_norm/s, s*delta, p)
+        # are s times those at (c, gamma_norm, C_inv_norm, delta, p).
+        d = sc.optimize_shift(c, gamma_norm, C_inv_norm)[3]
+        d_scaled = sc.optimize_shift(s * c, s * gamma_norm, C_inv_norm / s)[3]
+        assert d_scaled == pytest.approx(s * d, rel=1e-9)
+
+    def test_huge_damping_certified(self):
+        delta, p, c_tilde, d = sc.optimize_shift(1e300, 1.0, 1.0)
+        assert d > 0
+        assert 0 < p < 2
+        u, v = sc.damping_lower_bound(1e300, 1.0, 1.0, delta, p)
+        assert d == 0.5 * min(u, v)
+        assert c_tilde == u
+
     @settings(max_examples=300, deadline=None)
     @given(
         c=st.floats(1e-3, 1e3),
@@ -243,7 +260,7 @@ class TestSmallFrequencyAudit:
         norms, singular = _resolvent_norms(B, zs)
         assert not singular.any() and norms.max() <= 1e300
         # ... so the spectrum check must push delta past it.
-        delta, audit = _small_frequency_audit(B, 0.1, 0.2, 1e300, 41)
+        delta, audit = _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300, 41)
         assert delta < -self.LAM.real
         assert audit.halvings == 1
         assert audit.re_range == (-delta, 0.0)
@@ -251,7 +268,7 @@ class TestSmallFrequencyAudit:
     def test_spectrum_in_right_half_plane_fails(self):
         B = self._b_res(0.01 + 0.005j)
         with pytest.raises(CertificateFailure, match="spectral abscissa 0.01 "):
-            _small_frequency_audit(B, 0.1, 0.2, 1e300, 41)
+            _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300, 41)
 
 
 class TestFullCertificate:

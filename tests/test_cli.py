@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -135,3 +137,26 @@ def test_certify_reports_are_deterministic(tmp_path):
     assert main(["certify", problem, "-o", str(r1), "--samples", "301"]) == 0
     assert main(["certify", problem, "-o", str(r2), "--samples", "301"]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_certify_runs_each_step_once(tmp_path, monkeypatch):
+    problem = _write_problem(
+        tmp_path / "p.json", np.eye(2), np.eye(1), np.eye(2), [[1.0, 0.0]]
+    )
+    calls = Counter()
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "stabcert" or n.startswith("stabcert."))]
+    for fn in (sc.normalize_system, sc.decompose, sc.restricted_generator, sc.spectral_abscissa):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, attr, counted)
+    assert main(["certify", problem, "-o", str(tmp_path / "r.json"), "--samples", "301"]) == 0
+    # decompose runs on D, and on C for the admissible start.
+    assert calls == {
+        "normalize_system": 1, "decompose": 2, "restricted_generator": 1, "spectral_abscissa": 1,
+    }
