@@ -17,14 +17,17 @@ import stabcert as sc
 def main():
     spec = sc.GridSpec(N=3, h=1.0)
     curl = sc.build_curl(spec)
+    frames = sc.decompose(curl.K)
     n = curl.K.shape[0]
     print("discrete curl: %d x %d, rank %d, kernel dimension %d"
-          % (n, n, curl.rank, n - curl.rank))
+          % (n, n, frames.r, n - frames.r))
     print("  Hermitian deviation:    %.1e" % np.abs(curl.K - curl.K.conj().T).max())
     print("  max entry of K @ grad:  %.1e" % np.abs(curl.K @ curl.grad).max())
-    print("  closed-range constant:  %.6f (= sqrt(3)/2 on this grid)" % curl.sigma_min_pos)
+    print("  closed-range constant:  %.6f (= sqrt(3)/2 on this grid)" % frames.sigma_min_pos)
 
-    audit = sc.maxwell_report(spec, eps=1.0, mu=1.0, sigma=1.0, samples=401)
+    s = sc.build_maxwell_system(spec, eps=1.0, mu=1.0, sigma=1.0)
+    audit = sc.audit_system(s, samples=401)
+    assert all(audit.checks.values()), audit.checks
     cert = audit.certificate
     print("\nunit-conductivity system (%d x %d generator):" % (2 * n, 2 * n))
     print("  certified decay rate:   %.5f" % cert.delta_cert)
@@ -37,10 +40,8 @@ def main():
               % (sweep.abscissa, sweep.max_norm, sweep.n_singular))
 
     # The inadmissible part of the state is frozen: start inside ker(curl*).
-    s = sc.build_maxwell_system(spec)
-    frames = sc.decompose(s.C)
     rng = np.random.default_rng(5)
-    q0 = frames.kappa1 @ rng.standard_normal(n - curl.rank)
+    q0 = frames.kappa1 @ rng.standard_normal(n - frames.r)
     q0 /= np.linalg.norm(q0)
     U0 = np.concatenate([np.zeros(n), q0]).astype(complex)
     B = sc.assemble_generator(s.gamma, s.C)

@@ -35,16 +35,13 @@ from .errors import (
 )
 from .model import (
     BlockSystem,
-    ComplexMatrix,
     Tolerances,
     hermitian_min_eig,
     operator_norm,
     validate_system,
 )
-from .normalize import NormalizedSystem, map_state, normalize_system, sqrt_factor
+from .normalize import map_state, normalize_system, sqrt_factor
 from .helmholtz import (
-    DecoupledBlocks,
-    HelmholtzFrames,
     decompose,
     decoupled_solve,
     decoupling_transforms,
@@ -53,9 +50,6 @@ from .helmholtz import (
 )
 from .certificate import (
     FORMULAS,
-    AuditRecord,
-    InvertibleCaseCertificate,
-    StabilityCertificate,
     audit_system,
     damping_lower_bound,
     full_certificate,
@@ -64,8 +58,6 @@ from .certificate import (
     optimize_shift,
 )
 from .verify import (
-    DissipativityReport,
-    ResolventSweepReport,
     TrajectoryTrace,
     admissible_initial,
     assemble_generator,
@@ -79,30 +71,18 @@ from .verify import (
     spectral_abscissa,
 )
 from .maxwell import (
-    DiscreteCurl,
     GridSpec,
     build_curl,
     build_maxwell_system,
-    maxwell_report,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockSystem",
-    "ComplexMatrix",
     "Tolerances",
-    "NormalizedSystem",
-    "HelmholtzFrames",
-    "DecoupledBlocks",
-    "InvertibleCaseCertificate",
-    "StabilityCertificate",
-    "AuditRecord",
-    "ResolventSweepReport",
     "TrajectoryTrace",
-    "DissipativityReport",
     "GridSpec",
-    "DiscreteCurl",
     "FORMULAS",
     "validate_system",
     "hermitian_min_eig",
@@ -133,7 +113,6 @@ __all__ = [
     "change_of_variables_residual",
     "build_curl",
     "build_maxwell_system",
-    "maxwell_report",
     "StabcertError",
     "DimensionMismatch",
     "NotHermitian",

@@ -44,6 +44,7 @@ import numpy as np
 from .errors import (
     CertificateFailure,
     DegenerateProblem,
+    GridTooLarge,
     HalfPlaneViolation,
     ParameterOutOfRange,
     ZeroRangeOperator,
@@ -376,8 +377,20 @@ def _small_frequency_audit(
     )
 
 
+# Points per side of the small-frequency audit grid.
+_AUDIT_POINTS = 41
+# Largest restricted generator, m = n0 + rank, that prepare admits.  The
+# audit and the two sweeps take 41**2 + 2*401 dense m x m SVDs: a few
+# minutes at m = 623 (the N = 5 grid), hours at m = 2544 (N = 8).
+_MAX_AUDIT_DIM = 640
+
+
 def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
     """Normalize, decompose, and build the restricted generator once.
+
+    This is the one place that decides the numerical rank of the coupling;
+    everything downstream, the admissible initial data included, uses the
+    frames of ``D`` built here.
 
     Raises
     ------
@@ -385,6 +398,9 @@ def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
         If the coupling has rank zero while the second component space is
         nontrivial; its dynamics then have no damping path and no product-
         space decay certificate exists.
+    GridTooLarge
+        If the restricted generator would have more than 640 rows, too many
+        for the dense audit to finish.
     """
     ns = normalize_system(sys, tol)
     frames = decompose(ns.D, tol)
@@ -393,6 +409,11 @@ def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
             "coupling operator has rank 0 but the second component space has "
             f"dimension {sys.n1}; only the damped first-component block decays"
         )
+    m = sys.n0 + frames.r
+    if m > _MAX_AUDIT_DIM:
+        raise GridTooLarge(
+            f"restricted generator would have {m} rows, above the audit limit {_MAX_AUDIT_DIM}"
+        )
     B_res = restricted_generator(ns.gamma_tilde, frames)
     return PreparedProblem(ns, frames, B_res, spectral_abscissa(B_res))
 
@@ -400,7 +421,6 @@ def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
 def full_certificate(
     sys: BlockSystem | PreparedProblem,
     tol: Tolerances | None = None,
-    audit_points: int = 41,
 ) -> StabilityCertificate:
     """Run the whole chain: normalize, decompose, optimize, audit.
 
@@ -410,7 +430,7 @@ def full_certificate(
 
     Raises
     ------
-    ZeroRangeOperator
+    ZeroRangeOperator, GridTooLarge
         As :func:`prepare`.
     CertificateFailure
         If the small-frequency audit (spectrum left of -delta, resolvent
@@ -451,7 +471,7 @@ def full_certificate(
         im_half = 2.0 * delta0
 
     delta, audit = _small_frequency_audit(
-        prep.B_res, prep.abscissa, delta0, im_half, M_total, audit_points
+        prep.B_res, prep.abscissa, delta0, im_half, M_total, _AUDIT_POINTS
     )
     return StabilityCertificate(
         delta_cert=delta,
@@ -501,7 +521,7 @@ def audit_system(
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(sys.n0) + 1j * rng.standard_normal(sys.n0)
     v_raw = rng.standard_normal(sys.n1) + 1j * rng.standard_normal(sys.n1)
-    U0, residual = admissible_start(sys, ns, u0, v_raw, tol)
+    U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
 
     # Keep the fit window clear of underflow for fast-decaying systems.
     t_end = min(t_end, 50.0 / max(-prep.abscissa, 0.25))

@@ -186,7 +186,8 @@ def _cmd_simulate(args) -> int:
         rng = np.random.default_rng(args.seed)
         U0_orig = rng.standard_normal(n0 + n1) + 1j * rng.standard_normal(n0 + n1)
         seed = args.seed
-    U0, residual = admissible_start(system, ns, U0_orig[:n0], U0_orig[n0:], tol)
+    frames = decompose(ns.D, tol)
+    U0, residual = admissible_start(ns, frames, U0_orig[:n0], U0_orig[n0:])
     B_norm = assemble_generator(ns.gamma_tilde, ns.D)
     trace = simulate(B_norm, U0, args.t_end, args.samples)
     try:

@@ -106,4 +106,9 @@ class SingularBlock(StabcertError):
 
 
 class GridTooLarge(StabcertError):
-    """The requested grid exceeds the dense-assembly size guard."""
+    """A problem exceeds a size guard.
+
+    Raised when a grid's curl would exceed the dense-assembly row limit,
+    and when a system's restricted generator is too large for the
+    small-frequency audit to finish.
+    """

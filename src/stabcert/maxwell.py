@@ -9,9 +9,10 @@ vanishes identically.  Closedness of the range is automatic in finite
 dimensions; its quantitative stand-in is the smallest nonzero singular
 value.
 
-Grids are assembled densely and guarded by a size limit (default 1536
-rows for the curl, i.e. N <= 8) that the environment variable
-``STABCERT_DENSE_LIMIT`` overrides.
+Grids are assembled densely, up to 1536 curl rows (N <= 8); the cap
+bounds memory.  Whether the certificate of a grid system can finish in
+time is decided by :func:`stabcert.certificate.prepare`, as for any other
+system.
 
 Note that on a two-cell axis the forward and backward periodic neighbours
 coincide, so central differences and hence the whole curl vanish for
@@ -20,38 +21,16 @@ N = 2; the smallest grid with nontrivial coupling is N = 3.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateFailure, GridTooLarge, ParameterOutOfRange
-from .model import BlockSystem, ComplexMatrix, Tolerances
-from .certificate import SystemAudit, audit_system
+from .errors import GridTooLarge, ParameterOutOfRange
+from .model import BlockSystem, ComplexMatrix, Tolerances, validate_system
 
-__all__ = [
-    "GridSpec",
-    "DiscreteCurl",
-    "dense_limit",
-    "build_curl",
-    "build_maxwell_system",
-    "maxwell_report",
-]
+__all__ = ["GridSpec", "DiscreteCurl", "build_curl", "build_maxwell_system"]
 
-_DEFAULT_DENSE_LIMIT = 1536
-
-
-def dense_limit() -> int:
-    """Row limit for dense curl assembly (STABCERT_DENSE_LIMIT overrides)."""
-    raw = os.environ.get("STABCERT_DENSE_LIMIT")
-    if raw is None:
-        return _DEFAULT_DENSE_LIMIT
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterOutOfRange(
-            f"STABCERT_DENSE_LIMIT must be an integer, got {raw!r}"
-        ) from exc
+_MAX_CURL_ROWS = 1536
 
 
 @dataclass(frozen=True)
@@ -60,25 +39,23 @@ class GridSpec:
 
     N: int
     h: float = 1.0
-    bc: str = "periodic"
 
     def __post_init__(self):
         if self.N < 2:
             raise ParameterOutOfRange(f"N must be at least 2, got {self.N}")
         if not self.h > 0:
             raise ParameterOutOfRange(f"h must be positive, got {self.h}")
-        if self.bc != "periodic":
-            raise ParameterOutOfRange(f"only periodic boundaries are supported, got {self.bc!r}")
 
 
 @dataclass(frozen=True)
 class DiscreteCurl:
-    """Dense curl matrix, the companion gradient, and range diagnostics."""
+    """Dense curl matrix and the companion gradient.
+
+    Its rank and closed-range constant come from ``decompose(K)``.
+    """
 
     K: ComplexMatrix
     grad: ComplexMatrix
-    rank: int
-    sigma_min_pos: float
 
 
 def _cyclic_shift(N: int) -> np.ndarray:
@@ -87,7 +64,7 @@ def _cyclic_shift(N: int) -> np.ndarray:
     return S
 
 
-def build_curl(spec: GridSpec, tol: Tolerances | None = None) -> DiscreteCurl:
+def build_curl(spec: GridSpec) -> DiscreteCurl:
     """Assemble the central-difference periodic curl and gradient.
 
     Scalar fields are indexed (ix, iy, iz) in C order.  Each axis
@@ -100,14 +77,11 @@ def build_curl(spec: GridSpec, tol: Tolerances | None = None) -> DiscreteCurl:
     (Dx; Dy; Dz).  Skew axis blocks make the curl exactly Hermitian, and
     commuting circulants make K @ grad vanish.
     """
-    tol = tol or Tolerances()
     N, h = spec.N, spec.h
     dim = 3 * N**3
-    limit = dense_limit()
-    if dim > limit:
+    if dim > _MAX_CURL_ROWS:
         raise GridTooLarge(
-            f"curl would have {dim} rows, above the dense limit {limit} "
-            "(raise STABCERT_DENSE_LIMIT to override)"
+            f"curl would have {dim} rows, above the dense-assembly limit {_MAX_CURL_ROWS}"
         )
     S = _cyclic_shift(N)
     Dc = (S - S.T) / (2.0 * h)
@@ -118,14 +92,7 @@ def build_curl(spec: GridSpec, tol: Tolerances | None = None) -> DiscreteCurl:
     Z = np.zeros((N**3, N**3))
     K = np.block([[Z, -Dz, Dy], [Dz, Z, -Dx], [-Dy, Dx, Z]]).astype(complex)
     grad = np.vstack([Dx, Dy, Dz]).astype(complex)
-
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[0] > 0:
-        rank = int(np.count_nonzero(s >= tol.rank_rel_tol * s[0]))
-    else:
-        rank = 0
-    sigma_min_pos = float(s[rank - 1]) if rank else 0.0
-    return DiscreteCurl(K=K, grad=grad, rank=rank, sigma_min_pos=sigma_min_pos)
+    return DiscreteCurl(K=K, grad=grad)
 
 
 def _material_diagonal(value, n_cells: int, name: str) -> np.ndarray:
@@ -146,36 +113,10 @@ def build_maxwell_system(
     spec: GridSpec, eps=1.0, mu=1.0, sigma=1.0, tol: Tolerances | None = None
 ) -> BlockSystem:
     """Conductivity-damped grid system: weights eps/mu, damping sigma, coupling curl."""
-    from .model import validate_system
-
-    curl = build_curl(spec, tol)
+    curl = build_curl(spec)
     n_cells = spec.N**3
     alpha = np.diag(_material_diagonal(eps, n_cells, "eps"))
     beta = np.diag(_material_diagonal(mu, n_cells, "mu"))
     gamma = np.diag(_material_diagonal(sigma, n_cells, "sigma"))
     return validate_system(alpha, beta, gamma, curl.K, tol)
 
-
-def maxwell_report(
-    spec: GridSpec,
-    eps=1.0,
-    mu=1.0,
-    sigma=1.0,
-    seed: int = 0,
-    t_end: float = 20.0,
-    samples: int = 801,
-    lambda_max: float = 50.0,
-    sweep_points: int = 401,
-    tol: Tolerances | None = None,
-) -> SystemAudit:
-    """:func:`~stabcert.certificate.audit_system` of a damped grid system.
-
-    Raises CertificateFailure if any of the audit's checks fails.
-    """
-    system = build_maxwell_system(spec, eps, mu, sigma, tol)
-    audit = audit_system(system, tol, seed=seed, t_end=t_end, samples=samples,
-                         lambda_max=lambda_max, points=sweep_points)
-    failed = [k for k, ok in audit.checks.items() if not ok]
-    if failed:
-        raise CertificateFailure(f"grid system audit failed: {', '.join(failed)}")
-    return audit

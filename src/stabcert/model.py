@@ -32,7 +32,6 @@ __all__ = [
     "Tolerances",
     "BlockSystem",
     "as_complex_matrix",
-    "adjoint",
     "hermitian_part",
     "hermitian_min_eig",
     "operator_norm",
@@ -77,11 +76,6 @@ def as_complex_matrix(a, name: str = "matrix") -> ComplexMatrix:
     if M.size and not np.all(np.isfinite(M)):
         raise ParameterOutOfRange(f"{name} contains non-finite entries")
     return M
-
-
-def adjoint(M: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return M.conj().T
 
 
 def hermitian_part(M: ComplexMatrix) -> ComplexMatrix:

@@ -26,7 +26,7 @@ from .errors import (
     Underflow,
     ZeroFrequency,
 )
-from .model import ComplexMatrix, Tolerances, DEFAULT_TOLERANCES, as_complex_matrix
+from .model import ComplexMatrix, Tolerances, as_complex_matrix
 from .normalize import NormalizedSystem, map_state
 from .helmholtz import HelmholtzFrames, decompose
 
@@ -294,37 +294,43 @@ def fit_decay_rate(trace: TrajectoryTrace, window_fraction: float = 0.5) -> floa
     return float(slope)
 
 
-def admissible_initial(beta, frames: HelmholtzFrames, v0) -> tuple[np.ndarray, float]:
+def admissible_initial(beta, basis, v0) -> tuple[np.ndarray, float]:
     """Project a second-component state onto the admissible set beta^-1 ran(C).
 
-    Returns ``(v_adm, residual)`` with ``beta @ v_adm`` in ran(C) by
-    construction and ``residual = ||v_adm - v0||``; the part outside the
-    admissible set couples only to frozen kernel modes and cannot decay.
+    ``basis`` has orthonormal columns spanning ran(C).  Returns
+    ``(v_adm, residual)`` with ``beta @ v_adm`` in ran(C) by construction
+    and ``residual = ||v_adm - v0||``; the part outside the admissible set
+    couples only to frozen kernel modes and cannot decay.
     """
     beta = as_complex_matrix(beta, "beta")
+    basis = as_complex_matrix(basis, "basis")
     v0 = np.asarray(v0, dtype=complex)
-    n1 = frames.n1
+    n1 = basis.shape[0]
     if beta.shape != (n1, n1) or v0.shape != (n1,):
         raise DimensionMismatch(
             f"beta must be {n1} x {n1} and v0 of length {n1}, got {beta.shape}, {v0.shape}"
         )
     bv = beta @ v0
-    projected = frames.iota1 @ (frames.iota1.conj().T @ bv)
+    projected = basis @ (basis.conj().T @ bv)
     v_adm = np.linalg.solve(beta, projected) if n1 else v0.copy()
     residual = float(np.linalg.norm(v_adm - v0))
     return v_adm, residual
 
 
 def admissible_start(
-    sys, ns: NormalizedSystem, u0, v_raw, tol: Tolerances | None = None
+    ns: NormalizedSystem, frames: HelmholtzFrames, u0, v_raw
 ) -> tuple[np.ndarray, float]:
     """Unit-norm normalized initial state from raw component draws.
 
-    ``v_raw`` is projected as in :func:`admissible_initial` with the frames
-    of ``sys.C``; ``(u0, v_adm)`` is mapped into the variables of ``ns`` and
-    scaled to norm one unless it vanishes.  Returns ``(U0, residual)``.
+    ``frames`` are the frames of ``ns.D``.  Since ran(C) = sqrt(beta) ran(D),
+    the Q factor of ``sqrt_beta @ iota1`` is an orthonormal basis of ran(C),
+    onto which ``v_raw`` is projected as in :func:`admissible_initial`.
+    ``(u0, v_adm)`` is mapped into the variables of ``ns`` and scaled to
+    norm one unless it vanishes.  Returns ``(U0, residual)``.
     """
-    v_adm, residual = admissible_initial(sys.beta, decompose(sys.C, tol), v_raw)
+    basis = np.linalg.qr(ns.sqrt_beta @ frames.iota1)[0]
+    beta = ns.sqrt_beta @ ns.sqrt_beta
+    v_adm, residual = admissible_initial(beta, basis, v_raw)
     U0 = map_state(ns, np.concatenate([u0, v_adm]), "forward")
     norm0 = np.linalg.norm(U0)
     return (U0 / norm0 if norm0 > 0 else U0), residual
@@ -383,7 +389,6 @@ def change_of_variables_residual(
     exactly; the returned residual norm of that equation is a pure
     floating-point quantity.
     """
-    tol = tol or DEFAULT_TOLERANCES
     z = complex(z)
     if z == 0:
         raise ZeroFrequency("the change of variables requires z != 0")
@@ -396,8 +401,7 @@ def change_of_variables_residual(
     n0, n1 = ns.n0, ns.n1
     if n0 != n1:
         raise NotInvertible(f"coupling block must be square, got {D.shape}")
-    s = np.linalg.svd(D, compute_uv=False) if n0 else np.array([1.0])
-    if s[-1] <= tol.rank_rel_tol * s[0]:
+    if decompose(D, tol).r < n0:
         raise NotInvertible("coupling block is numerically rank deficient")
 
     U = np.asarray(U, dtype=complex)

@@ -8,12 +8,13 @@ import stabcert as sc
 from stabcert import (
     CertificateFailure,
     DegenerateProblem,
+    GridTooLarge,
     HalfPlaneViolation,
     ParameterOutOfRange,
     ZeroRangeOperator,
 )
 
-from stabcert.certificate import _small_frequency_audit
+from stabcert.certificate import _small_frequency_audit, prepare
 from stabcert.verify import _resolvent_norms
 
 from helpers import haar_unitary, random_block_system, random_coercive
@@ -350,3 +351,23 @@ class TestFullCertificate:
         assert cert.M_total == pytest.approx(cert.kernel_bound)
         abscissa = sc.spectral_abscissa(-gamma)
         assert abscissa <= -cert.delta_cert
+
+
+class TestPrepare:
+    def test_audit_size_guard(self):
+        # m = n0 + rank = 660 is above the 640 rows the dense audit can finish;
+        # the refusal comes before B_res or its eigenvalues are built.
+        n = 330
+        s = sc.validate_system(np.eye(n), np.eye(n), np.eye(n), np.eye(n))
+        with pytest.raises(GridTooLarge, match="660 rows"):
+            prepare(s)
+
+    def test_random_start_uses_the_certified_splitting(self):
+        # rank(C) = 2 but rank(D) = 1: beta = diag(1, 100) takes C's singular
+        # value 5e-10 below the cutoff.  A start projected with the frames of C
+        # keeps a mode that the certificate excludes, and it never decays.
+        s = sc.validate_system(np.eye(2), np.diag([1.0, 100.0]), np.eye(2), np.diag([1.0, 5e-10]))
+        assert sc.decompose(s.C).r == 2
+        audit = sc.audit_system(s)
+        assert audit.certificate.rank == 1
+        assert all(audit.checks.values())

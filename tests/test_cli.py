@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stabcert as sc
+from stabcert import cli
 from stabcert.cli import main, matrix_to_json, load_problem
 
 
@@ -156,7 +159,35 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
                 if value is fn:
                     monkeypatch.setattr(m, attr, counted)
     assert main(["certify", problem, "-o", str(tmp_path / "r.json"), "--samples", "301"]) == 0
-    # decompose runs on D, and on C for the admissible start.
+    # decompose runs on D only; the admissible start reuses its frames.
     assert calls == {
-        "normalize_system": 1, "decompose": 2, "restricted_generator": 1, "spectral_abscissa": 1,
+        "normalize_system": 1, "decompose": 1, "restricted_generator": 1, "spectral_abscissa": 1,
     }
+
+
+def test_certify_refuses_oversized_audit(tmp_path, capsys):
+    n = 330  # restricted generator of 660 rows
+    eye = np.eye(n)
+    problem = _write_problem(tmp_path / "big.json", eye, eye, eye, eye)
+    assert main(["certify", problem]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "GridTooLarge"
+
+
+def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps functions by module and name; a rename
+    # under src/ must fail here rather than in the benchmark's traced run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["certify", scalar_problem, "-o", str(tmp_path / "r.json")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracing.pass_metrics(tracer.take())
+    assert metrics["normalize.normalize_system_calls"] == 1
+    assert metrics["helmholtz.decompose_calls"] == 1
+    assert metrics["certificate.audit_resolvent_evals"] == 1681

@@ -193,7 +193,7 @@ def test_weakened_decay_bound_in_original_variables():
     fr_C = sc.decompose(s.C)
 
     u0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    v_adm, _ = sc.admissible_initial(s.beta, fr_C, rng.standard_normal(2))
+    v_adm, _ = sc.admissible_initial(s.beta, fr_C.iota1, rng.standard_normal(2))
     U0 = np.concatenate([u0, v_adm])
 
     weight_inv = scipy.linalg.block_diag(np.linalg.inv(s.alpha), np.linalg.inv(s.beta))

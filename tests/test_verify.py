@@ -283,19 +283,19 @@ class TestAdmissibleInitial:
     def test_already_admissible(self):
         fr = sc.decompose([[0.0, 2.0], [0.0, 0.0]])
         v0 = np.array([1.0, 0.0], dtype=complex)
-        v_adm, residual = sc.admissible_initial(np.eye(2), fr, v0)
+        v_adm, residual = sc.admissible_initial(np.eye(2), fr.iota1, v0)
         assert np.allclose(v_adm, v0, atol=1e-14)
         assert residual == pytest.approx(0.0, abs=1e-14)
 
     def test_projection(self):
         fr = sc.decompose([[0.0, 2.0], [0.0, 0.0]])
-        v_adm, residual = sc.admissible_initial(np.eye(2), fr, [1.0, 1.0])
+        v_adm, residual = sc.admissible_initial(np.eye(2), fr.iota1, [1.0, 1.0])
         assert np.allclose(v_adm, [1.0, 0.0], atol=1e-12)
         assert residual == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_weight_commutes(self):
         fr = sc.decompose([[0.0, 2.0], [0.0, 0.0]])
-        v_adm, residual = sc.admissible_initial(2.0 * np.eye(2), fr, [1.0, 1.0])
+        v_adm, residual = sc.admissible_initial(2.0 * np.eye(2), fr.iota1, [1.0, 1.0])
         assert np.allclose(v_adm, [1.0, 0.0], atol=1e-12)
         assert residual == pytest.approx(1.0, abs=1e-12)
 
@@ -307,7 +307,7 @@ class TestAdmissibleInitial:
         C = random_rank_matrix(rng, 4, 3, 2)
         fr = sc.decompose(C)
         v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v_adm, _ = sc.admissible_initial(beta, fr, v0)
+        v_adm, _ = sc.admissible_initial(beta, fr.iota1, v0)
         bv = beta @ v_adm
         assert np.linalg.norm(fr.kappa1.conj().T @ bv) <= 1e-10 * np.linalg.norm(bv)
 
