@@ -59,9 +59,9 @@ def main():
     print("  half-margin d               = %.4f   [%s]" % (inner.d, FORMULAS["d"]))
     print("  interior resolvent bound    = %.2f   [%s]" % (inner.M_inner, FORMULAS["M_inner"]))
 
-    print("\nsmall-frequency audit: grid %s on Re in [%.4f, %.4f], Im in [%.3f, %.3f]"
-          % (cert.audit.grid_shape, *cert.audit.re_range, *cert.audit.im_range))
-    print("  halvings: %d, max resolvent norm on grid: %.3f"
+    print("\nsmall-frequency audit: %d nodes on the edge Re z = %.4f, Im in [%.3f, %.3f]"
+          % (cert.audit.grid_shape[1], cert.audit.re_range[0], *cert.audit.im_range))
+    print("  halvings: %d, max resolvent norm on the edge: %.3f"
           % (cert.audit.halvings, cert.audit.max_resolvent_norm))
 
     print("\ncertificate:  decay rate >= %.5f,  resolvent bound M = %.2f"

@@ -34,6 +34,7 @@ from .verify import (
     assemble_generator,
     fit_decay_rate,
     gp_sweep,
+    random_components,
     simulate,
 )
 
@@ -180,14 +181,11 @@ def _cmd_simulate(args) -> int:
         arr = np.asarray(raw, dtype=float)
         if arr.ndim != 2 or arr.shape != (n0 + n1, 2):
             raise ValueError(f"u0 must be a list of {n0 + n1} [re, im] pairs")
-        U0_orig = arr[:, 0] + 1j * arr[:, 1]
-        seed = None
+        u0, v_raw = np.split(arr[:, 0] + 1j * arr[:, 1], [n0])
     else:
-        rng = np.random.default_rng(args.seed)
-        U0_orig = rng.standard_normal(n0 + n1) + 1j * rng.standard_normal(n0 + n1)
-        seed = args.seed
+        u0, v_raw = random_components(args.seed, n0, n1)
     frames = decompose(ns.D, tol)
-    U0, residual = admissible_start(ns, frames, U0_orig[:n0], U0_orig[n0:])
+    U0, residual = admissible_start(ns, frames, u0, v_raw)
     B_norm = assemble_generator(ns.gamma_tilde, ns.D)
     trace = simulate(B_norm, U0, args.t_end, args.samples)
     try:
@@ -197,7 +195,7 @@ def _cmd_simulate(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "variables": "normalized (unit weights)",
-        "seed": seed,
+        "seed": None if args.u0 is not None else args.seed,
         "projection_residual": residual,
         "times": [float(t) for t in trace.times],
         "state_norms": [float(x) for x in trace.state_norms],

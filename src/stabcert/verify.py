@@ -42,6 +42,7 @@ __all__ = [
     "simulate",
     "fit_decay_rate",
     "admissible_initial",
+    "random_components",
     "admissible_start",
     "block_inverse",
     "change_of_variables_residual",
@@ -126,8 +127,8 @@ def check_m_dissipative(B) -> DissipativityReport:
 
 
 # Bytes of one stack of shifted matrices z I - B handed to the batched SVD:
-# every point of a 401-point sweep at once for m <= 12, about one 41-point
-# audit row at m = 133.
+# every point of a 401-point sweep at once for m <= 12, the 41-point audit
+# edge at m = 133.
 _RESOLVENT_STACK_BYTES = 12 * 2**20
 
 
@@ -161,9 +162,8 @@ def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
 def resolvent_norm(B, z) -> float:
     """The norm of (z - B)^-1, computed as 1/sigma_min(z I - B).
 
-    Raises :class:`Singular` when sigma_min <= 1e-14 sigma_max, which
-    separates genuine spectrum from mere ill-conditioning at dense desk
-    scale.
+    Raises :class:`Singular` when sigma_min <= 1e-14 sigma_max: z is then
+    numerically in the spectrum.
     """
     B = as_complex_matrix(B, "B")
     if B.shape[0] != B.shape[1]:
@@ -315,6 +315,13 @@ def admissible_initial(beta, basis, v0) -> tuple[np.ndarray, float]:
     v_adm = np.linalg.solve(beta, projected) if n1 else v0.copy()
     residual = float(np.linalg.norm(v_adm - v0))
     return v_adm, residual
+
+
+def random_components(seed, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw complex Gaussian draws ``(u0, v_raw)`` of a random start from ``seed``."""
+    rng = np.random.default_rng(seed)
+    u0 = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
+    return u0, rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
 
 
 def admissible_start(

@@ -261,15 +261,41 @@ class TestSmallFrequencyAudit:
         norms, singular = _resolvent_norms(B, zs)
         assert not singular.any() and norms.max() <= 1e300
         # ... so the spectrum check must push delta past it.
-        delta, audit = _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300, 41)
+        delta, audit = _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300)
         assert delta < -self.LAM.real
         assert audit.halvings == 1
-        assert audit.re_range == (-delta, 0.0)
+        assert audit.re_range == (-delta, -delta)
 
     def test_spectrum_in_right_half_plane_fails(self):
         B = self._b_res(0.01 + 0.005j)
         with pytest.raises(CertificateFailure, match="spectral abscissa 0.01 "):
-            _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300, 41)
+            _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n0=st.integers(1, 4),
+        n1=st.integers(1, 4),
+        c_gamma=st.floats(0.05, 5.0),
+    )
+    def test_edge_bounds_the_disk_segment(self, seed, n0, n1, c_gamma):
+        # Maximum principle: with the spectrum left of -delta, the norm on
+        # {Re z >= -delta, |z| <= im_half} is at most its maximum over the
+        # audited edge Re z = -delta and the arc |z| = im_half.  Check the old
+        # 41 x 41 rectangle and 41 nodes of the strip 0 < Re z, |z| < im_half.
+        rng = np.random.default_rng(seed)
+        s = random_block_system(rng, n0, n1, int(rng.integers(1, min(n0, n1) + 1)), c_gamma)
+        prep = prepare(s)
+        try:
+            cert = sc.full_certificate(prep)
+        except CertificateFailure:
+            return
+        delta, im_half = cert.delta_cert, cert.audit.im_range[1]
+        rectangle = np.linspace(-delta, 0.0, 41)[:, None] + 1j * np.linspace(-im_half, im_half, 41)
+        strip = 0.5 * im_half * np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 43)[1:-1])
+        norms, singular = _resolvent_norms(prep.B_res, np.concatenate([rectangle.ravel(), strip]))
+        assert not singular.any()
+        assert norms.max() <= cert.M_total
 
 
 class TestFullCertificate:
@@ -370,4 +396,14 @@ class TestPrepare:
         assert sc.decompose(s.C).r == 2
         audit = sc.audit_system(s)
         assert audit.certificate.rank == 1
+        assert all(audit.checks.values())
+
+    def test_fast_decay_fits_above_the_rounding_floor(self):
+        # Spectral abscissa -3: by t = 50/3 the trajectory sits on the
+        # rounding-level ker(D*) part of the start (about 3e-16), which never
+        # decays, and the fit flattened to 1.10 against delta_cert = 1.11.
+        s = sc.validate_system([[1.0]], [[2.0, 1.0], [1.0, 2.0]], [[6.0]], [[20.0], [20.0]])
+        audit = sc.audit_system(s, seed=0)
+        assert audit.abscissa == pytest.approx(-3.0)
+        assert audit.fitted_rate == pytest.approx(3.0, rel=1e-3)
         assert all(audit.checks.values())

@@ -98,6 +98,19 @@ def test_simulate_records_projection_residual(tmp_path):
     assert len(data["state_norms"]) == 401
 
 
+def test_simulate_seed_reproduces_certify_trajectory(scalar_problem, tmp_path):
+    cert_out, sim_out = tmp_path / "c.json", tmp_path / "s.json"
+    assert main(["certify", scalar_problem, "--seed", "0", "-o", str(cert_out)]) == 0
+    assert main([
+        "simulate", scalar_problem, "--seed", "0", "--t-end", "20", "--samples", "801",
+        "-o", str(sim_out),
+    ]) == 0
+    trajectory = json.loads(cert_out.read_text())["trajectory"]
+    sim = json.loads(sim_out.read_text())
+    assert sim["fitted_rate"] == trajectory["fitted_rate"]
+    assert sim["projection_residual"] == trajectory["projection_residual"]
+
+
 def test_reduce_emits_transforms(scalar_problem, tmp_path):
     out = tmp_path / "red.json"
     code = main(["reduce", scalar_problem, "--z", "0.5,1.0", "-o", str(out)])
@@ -190,4 +203,4 @@ def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
     metrics = tracing.pass_metrics(tracer.take())
     assert metrics["normalize.normalize_system_calls"] == 1
     assert metrics["helmholtz.decompose_calls"] == 1
-    assert metrics["certificate.audit_resolvent_evals"] == 1681
+    assert metrics["certificate.audit_resolvent_evals"] == 41
