@@ -35,7 +35,6 @@ from .errors import (
 )
 from .model import (
     BlockSystem,
-    Tolerances,
     hermitian_min_eig,
     operator_norm,
     validate_system,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSystem",
-    "Tolerances",
     "TrajectoryTrace",
     "GridSpec",
     "FORMULAS",

@@ -50,7 +50,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroRangeOperator,
 )
-from .model import BlockSystem, ComplexMatrix, Tolerances, operator_norm
+from .model import BlockSystem, ComplexMatrix, operator_norm
 from .normalize import NormalizedSystem, normalize_system
 from .helmholtz import HelmholtzFrames, decompose, restricted_generator
 from .verify import (
@@ -383,12 +383,12 @@ _AUDIT_POINTS = 41
 _MAX_AUDIT_DIM = 640
 
 
-def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
+def prepare(sys: BlockSystem) -> PreparedProblem:
     """Normalize, decompose, and build the restricted generator once.
 
-    This is the one place that decides the numerical rank of the coupling;
-    everything downstream, the admissible initial data included, uses the
-    frames of ``D`` built here.
+    This is the one place that decomposes the coupling (its rank cutoff is
+    fixed in :func:`~stabcert.helmholtz.decompose`); everything downstream,
+    the admissible initial data included, uses the frames of ``D`` built here.
 
     Raises
     ------
@@ -400,8 +400,8 @@ def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
         If the restricted generator would have more than 640 rows, too many
         for the dense audit to finish.
     """
-    ns = normalize_system(sys, tol)
-    frames = decompose(ns.D, tol)
+    ns = normalize_system(sys)
+    frames = decompose(ns.D)
     if frames.r == 0 and sys.n1 > 0:
         raise ZeroRangeOperator(
             "coupling operator has rank 0 but the second component space has "
@@ -416,15 +416,11 @@ def prepare(sys: BlockSystem, tol: Tolerances | None = None) -> PreparedProblem:
     return PreparedProblem(ns, frames, B_res, spectral_abscissa(B_res))
 
 
-def full_certificate(
-    sys: BlockSystem | PreparedProblem,
-    tol: Tolerances | None = None,
-) -> StabilityCertificate:
+def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate:
     """Run the whole chain: normalize, decompose, optimize, audit.
 
     ``sys`` is a block system, or a :class:`PreparedProblem` whose
-    normalization, frames and restricted generator are reused (``tol`` is
-    then ignored).
+    normalization, frames and restricted generator are reused.
 
     Raises
     ------
@@ -435,7 +431,7 @@ def full_certificate(
         on the edge Re z = -delta within M_total) cannot be satisfied
         even after halving the claimed abscissa twenty times.
     """
-    prep = sys if isinstance(sys, PreparedProblem) else prepare(sys, tol)
+    prep = sys if isinstance(sys, PreparedProblem) else prepare(sys)
     ns, frames = prep.normalized, prep.frames
     r, n0, n1 = frames.r, ns.n0, ns.n1
 
@@ -491,7 +487,6 @@ def full_certificate(
 
 def audit_system(
     sys: BlockSystem,
-    tol: Tolerances | None = None,
     *,
     seed: int = 0,
     t_end: float = 20.0,
@@ -507,7 +502,7 @@ def audit_system(
     the trajectory of a random admissible start drawn from ``seed``.
     ``checks`` holds one verdict per comparison.
     """
-    prep = prepare(sys, tol)
+    prep = prepare(sys)
     ns = prep.normalized
     cert = full_certificate(prep)
     sweeps = tuple(

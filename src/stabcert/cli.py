@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import StabcertError
-from .model import Tolerances, validate_system
+from .model import validate_system
 from .normalize import normalize_system
 from .helmholtz import decompose, decoupling_transforms, restricted_generator
 from .certificate import FORMULAS, audit_system
@@ -76,17 +76,17 @@ def load_problem(path: str):
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
+    # Every threshold is fixed in the code; a file that sets one is refused,
+    # not certified under thresholds other than the ones it asks for.
+    key = "tolerances"
+    if key in data:
+        raise ValueError(f"problem file key {key!r} is no longer supported; remove it")
     matrices = {}
     for name in ("alpha", "beta", "gamma", "C"):
         if name not in data:
             raise ValueError(f"problem file is missing {name!r}")
         matrices[name] = matrix_from_json(data[name], name)
-    tol_data = data.get("tolerances")
-    tol = Tolerances(**tol_data) if tol_data else None
-    system = validate_system(
-        matrices["alpha"], matrices["beta"], matrices["gamma"], matrices["C"], tol
-    )
-    return system, tol
+    return validate_system(matrices["alpha"], matrices["beta"], matrices["gamma"], matrices["C"])
 
 
 def dump_problem(system, path: str) -> None:
@@ -130,8 +130,8 @@ def _certificate_summary(cert) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    system, tol = load_problem(args.problem)
-    audit = audit_system(system, tol, seed=args.seed, t_end=args.t_end, samples=args.samples,
+    system = load_problem(args.problem)
+    audit = audit_system(system, seed=args.seed, t_end=args.t_end, samples=args.samples,
                          lambda_max=args.lambda_max, points=args.points)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -157,9 +157,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    system, tol = load_problem(args.problem)
-    ns = normalize_system(system, tol)
-    frames = decompose(ns.D, tol)
+    system = load_problem(args.problem)
+    ns = normalize_system(system)
+    frames = decompose(ns.D)
     B_res = restricted_generator(ns.gamma_tilde, frames)
     report_data = gp_sweep(B_res, args.abscissa, args.lambda_max, args.points)
     report = {
@@ -172,8 +172,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system, tol = load_problem(args.problem)
-    ns = normalize_system(system, tol)
+    system = load_problem(args.problem)
+    ns = normalize_system(system)
     n0, n1 = system.n0, system.n1
     if args.u0 is not None:
         with open(args.u0, "r", encoding="utf-8") as fh:
@@ -184,7 +184,7 @@ def _cmd_simulate(args) -> int:
         u0, v_raw = np.split(arr[:, 0] + 1j * arr[:, 1], [n0])
     else:
         u0, v_raw = random_components(args.seed, n0, n1)
-    frames = decompose(ns.D, tol)
+    frames = decompose(ns.D)
     U0, residual = admissible_start(ns, frames, u0, v_raw)
     B_norm = assemble_generator(ns.gamma_tilde, ns.D)
     trace = simulate(B_norm, U0, args.t_end, args.samples)
@@ -207,9 +207,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    system, tol = load_problem(args.problem)
-    ns = normalize_system(system, tol)
-    frames = decompose(ns.D, tol)
+    system = load_problem(args.problem)
+    ns = normalize_system(system)
+    frames = decompose(ns.D)
     try:
         re_s, im_s = args.z.split(",")
         z = complex(float(re_s), float(im_s))

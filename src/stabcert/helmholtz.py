@@ -32,12 +32,7 @@ from .errors import (
     SingularKernelBlock,
     SingularReducedBlock,
 )
-from .model import (
-    ComplexMatrix,
-    Tolerances,
-    DEFAULT_TOLERANCES,
-    as_complex_matrix,
-)
+from .model import ComplexMatrix, as_complex_matrix
 from .normalize import NormalizedSystem
 
 __all__ = [
@@ -108,16 +103,20 @@ class DecoupledBlocks:
     T2_inv: ComplexMatrix
 
 
-def decompose(C, tol: Tolerances | None = None) -> HelmholtzFrames:
+_EPS = float(np.finfo(float).eps)
+
+
+def decompose(C) -> HelmholtzFrames:
     """Compute the range/kernel frames of a coupling matrix.
 
     The numerical rank counts singular values at or above
-    ``rank_rel_tol * sigma_max`` (threshold ties resolve into the range,
-    which is the conservative direction for invertibility of C_tilde).
-    A zero matrix yields r = 0 with identity kernel frames and an empty
-    invertible block.
+    ``max(n0, n1) * eps * sigma_max``, the rounding level of the SVD itself.
+    A singular value the SVD can resolve at all is kept, so a weak coupling
+    is never dropped from the range: if it is too weak to damp, the
+    certificate fails instead of claiming decay for modes it couples away.
+    Ties resolve into the range.  A zero matrix yields r = 0 with identity
+    kernel frames and an empty invertible block.
     """
-    tol = tol or DEFAULT_TOLERANCES
     C = as_complex_matrix(C, "C")
     n1, n0 = C.shape
 
@@ -132,7 +131,7 @@ def decompose(C, tol: Tolerances | None = None) -> HelmholtzFrames:
         inv_norm = float("inf")
     else:
         U, s, Vh = np.linalg.svd(C)
-        cutoff = tol.rank_rel_tol * s[0]
+        cutoff = max(n0, n1) * _EPS * s[0]
         r = int(np.count_nonzero(s >= cutoff))
         V = Vh.conj().T
         iota1 = U[:, :r]
@@ -263,18 +262,16 @@ def reduced_block(blocks: DecoupledBlocks, C_tilde: ComplexMatrix) -> ComplexMat
     return M2
 
 
-def decoupled_solve(
-    ns: NormalizedSystem,
-    frames: HelmholtzFrames,
-    z,
-    F,
-    tol: Tolerances | None = None,
-) -> np.ndarray:
+# Largest back-substituted residual of decoupled_solve, relative to ||F||.
+_SOLVE_TOL = 1e-10
+
+
+def decoupled_solve(ns: NormalizedSystem, frames: HelmholtzFrames, z, F) -> np.ndarray:
     """Solve (z + damping + coupling)(u, v) = F through the decoupled blocks.
 
     ``F`` is a stacked vector (f, g) of length n0 + n1 whose second
     component must lie in ran(C); the returned (u, v) has v in ran(C) and
-    satisfies the original shifted equation to the solve tolerance.
+    satisfies the original shifted equation to 1e-10 relative to ||F||.
 
     Raises
     ------
@@ -282,11 +279,10 @@ def decoupled_solve(
         If Re z <= -c for the measured coercivity c of gamma.
     SingularReducedBlock
         If z is (numerically) in the spectrum of the reduced block, or the
-        back-substituted residual fails the solve tolerance.
+        back-substituted residual exceeds 1e-10 relative to ||F||.
     ValueError
         If the second component of F leaves ran(C).
     """
-    tol = tol or DEFAULT_TOLERANCES
     z = complex(z)
     gamma = ns.gamma_tilde
     c = ns.c_gamma_tilde
@@ -334,7 +330,7 @@ def decoupled_solve(
     Bz[:n0, n0:] -= ns.D.conj().T
     Bz[n0:, :n0] += ns.D
     residual = float(np.linalg.norm(Bz @ UV - F))
-    if residual > tol.solve_tol * max(float(np.linalg.norm(F)), 1e-300):
+    if residual > _SOLVE_TOL * max(float(np.linalg.norm(F)), 1e-300):
         raise SingularReducedBlock(
             f"solution residual {residual:.3e} exceeds tolerance at z = {z}"
         )

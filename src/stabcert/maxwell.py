@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, ParameterOutOfRange
-from .model import BlockSystem, ComplexMatrix, Tolerances, validate_system
+from .model import BlockSystem, ComplexMatrix, validate_system
 
 __all__ = ["GridSpec", "DiscreteCurl", "build_curl", "build_maxwell_system"]
 
@@ -109,14 +109,12 @@ def _material_diagonal(value, n_cells: int, name: str) -> np.ndarray:
     )
 
 
-def build_maxwell_system(
-    spec: GridSpec, eps=1.0, mu=1.0, sigma=1.0, tol: Tolerances | None = None
-) -> BlockSystem:
+def build_maxwell_system(spec: GridSpec, eps=1.0, mu=1.0, sigma=1.0) -> BlockSystem:
     """Conductivity-damped grid system: weights eps/mu, damping sigma, coupling curl."""
     curl = build_curl(spec)
     n_cells = spec.N**3
     alpha = np.diag(_material_diagonal(eps, n_cells, "eps"))
     beta = np.diag(_material_diagonal(mu, n_cells, "mu"))
     gamma = np.diag(_material_diagonal(sigma, n_cells, "sigma"))
-    return validate_system(alpha, beta, gamma, curl.K, tol)
+    return validate_system(alpha, beta, gamma, curl.K)
 

@@ -29,7 +29,6 @@ from .errors import DimensionMismatch, NotCoercive, NotHermitian, ParameterOutOf
 
 __all__ = [
     "ComplexMatrix",
-    "Tolerances",
     "BlockSystem",
     "as_complex_matrix",
     "hermitian_part",
@@ -40,32 +39,6 @@ __all__ = [
 
 # All bounded operators in this package are plain dense complex arrays.
 ComplexMatrix = np.ndarray
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative tolerances shared across the pipeline.
-
-    Defaults leave double-precision headroom at the dense sizes this
-    package targets (a few hundred rows).  Every entry must be strictly
-    positive and at most 1e-3.
-    """
-
-    hermitian_tol: float = 1e-12
-    rank_rel_tol: float = 1e-10
-    solve_tol: float = 1e-10
-    eig_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("hermitian_tol", "rank_rel_tol", "solve_tol", "eig_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value <= 1e-3):
-                raise ParameterOutOfRange(
-                    f"{name} must lie in (0, 1e-3], got {value!r}"
-                )
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 def as_complex_matrix(a, name: str = "matrix") -> ComplexMatrix:
@@ -147,16 +120,22 @@ class BlockSystem:
         return self.beta.shape[0]
 
 
-def _check_hermitian(M: ComplexMatrix, which: str, rel_tol: float) -> None:
+# Largest relative deviation ||M - M*|| / ||M|| accepted as Hermitian.
+_HERMITIAN_TOL = 1e-12
+# Coercivity constants at or below this count as not coercive.
+_COERCIVITY_FLOOR = 1e-10
+
+
+def _check_hermitian(M: ComplexMatrix, which: str) -> None:
     scale = operator_norm(M)
     deviation = operator_norm(M - M.conj().T)
     if scale == 0.0:
         return
-    if deviation > rel_tol * scale:
+    if deviation > _HERMITIAN_TOL * scale:
         raise NotHermitian(which, deviation / scale)
 
 
-def validate_system(alpha, beta, gamma, C, tol: Tolerances | None = None) -> BlockSystem:
+def validate_system(alpha, beta, gamma, C) -> BlockSystem:
     """Validate the standing assumptions and package the system.
 
     Parameters
@@ -164,8 +143,6 @@ def validate_system(alpha, beta, gamma, C, tol: Tolerances | None = None) -> Blo
     alpha, beta, gamma, C : array_like
         Coefficient blocks; ``alpha`` and ``gamma`` are n0 x n0, ``beta``
         n1 x n1 and ``C`` maps H0 to H1, i.e. is n1 x n0.
-    tol : Tolerances, optional
-        Validation tolerances; defaults to :data:`DEFAULT_TOLERANCES`.
 
     Returns
     -------
@@ -177,12 +154,11 @@ def validate_system(alpha, beta, gamma, C, tol: Tolerances | None = None) -> Blo
     DimensionMismatch
         On incompatible shapes.
     NotHermitian
-        If ``alpha`` or ``beta`` deviates from Hermitian symmetry.
+        If ``alpha`` or ``beta`` deviates from Hermitian symmetry by more
+        than 1e-12 relative to its norm.
     NotCoercive
-        If any of the three coercivity constants is not strictly positive
-        (beyond the eigenvalue tolerance).
+        If any of the three coercivity constants is at most 1e-10.
     """
-    tol = tol or DEFAULT_TOLERANCES
     A = as_complex_matrix(alpha, "alpha")
     B = as_complex_matrix(beta, "beta")
     G = as_complex_matrix(gamma, "gamma")
@@ -198,17 +174,17 @@ def validate_system(alpha, beta, gamma, C, tol: Tolerances | None = None) -> Blo
     if Cm.shape != (n1, n0):
         raise DimensionMismatch(f"C must be {n1} x {n0}, got {Cm.shape}")
 
-    _check_hermitian(A, "alpha", tol.hermitian_tol)
-    _check_hermitian(B, "beta", tol.hermitian_tol)
+    _check_hermitian(A, "alpha")
+    _check_hermitian(B, "beta")
 
     c_alpha = hermitian_min_eig(A)
     c_beta = hermitian_min_eig(B)
     c_gamma = hermitian_min_eig(G)
-    if not c_alpha > tol.eig_tol:
+    if not c_alpha > _COERCIVITY_FLOOR:
         raise NotCoercive("alpha", c_alpha)
-    if not c_beta > tol.eig_tol:
+    if not c_beta > _COERCIVITY_FLOOR:
         raise NotCoercive("beta", c_beta)
-    if not c_gamma > tol.eig_tol:
+    if not c_gamma > _COERCIVITY_FLOOR:
         raise NotCoercive("gamma", c_gamma)
 
     return BlockSystem(A, B, G, Cm, float(c_alpha), float(c_beta), float(c_gamma))

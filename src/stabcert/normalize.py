@@ -20,16 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .model import (
     ComplexMatrix,
     BlockSystem,
-    Tolerances,
-    DEFAULT_TOLERANCES,
+    _check_hermitian,
     as_complex_matrix,
     hermitian_min_eig,
     hermitian_part,
-    operator_norm,
 )
 
 __all__ = ["NormalizedSystem", "sqrt_factor", "normalize_system", "map_state"]
@@ -61,7 +59,7 @@ class NormalizedSystem:
         return self.D.shape[0]
 
 
-def sqrt_factor(M, tol: Tolerances | None = None) -> tuple[ComplexMatrix, ComplexMatrix]:
+def sqrt_factor(M) -> tuple[ComplexMatrix, ComplexMatrix]:
     """Hermitian square root and its inverse of a positive definite matrix.
 
     Returns ``(sqrt, sqrt_inv)`` with ``sqrt`` Hermitian positive definite,
@@ -70,18 +68,16 @@ def sqrt_factor(M, tol: Tolerances | None = None) -> tuple[ComplexMatrix, Comple
     Raises
     ------
     NotHermitian
-        If ``M`` deviates from Hermitian symmetry beyond tolerance.
+        If ``M`` deviates from Hermitian symmetry, as in
+        :func:`~stabcert.model.validate_system`.
     NotPositiveDefinite
         If the smallest eigenvalue is nonpositive, or so close to zero
         relative to the largest that inversion would be meaningless.
     """
-    tol = tol or DEFAULT_TOLERANCES
     M = as_complex_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
-    scale = operator_norm(M)
-    if scale > 0 and operator_norm(M - M.conj().T) > tol.hermitian_tol * scale:
-        raise NotHermitian("sqrt_factor argument")
+    _check_hermitian(M, "sqrt_factor argument")
     w, V = np.linalg.eigh(hermitian_part(M))
     if M.shape[0] and (w[0] <= 0.0 or w[0] <= 1e-12 * w[-1]):
         raise NotPositiveDefinite(
@@ -93,10 +89,10 @@ def sqrt_factor(M, tol: Tolerances | None = None) -> tuple[ComplexMatrix, Comple
     return sqrt, sqrt_inv
 
 
-def normalize_system(sys: BlockSystem, tol: Tolerances | None = None) -> NormalizedSystem:
+def normalize_system(sys: BlockSystem) -> NormalizedSystem:
     """Transport a validated system to unit weights."""
-    sa, sai = sqrt_factor(sys.alpha, tol)
-    sb, sbi = sqrt_factor(sys.beta, tol)
+    sa, sai = sqrt_factor(sys.alpha)
+    sb, sbi = sqrt_factor(sys.beta)
     gamma_tilde = sai @ sys.gamma @ sai
     D = sbi @ sys.C @ sai
     return NormalizedSystem(

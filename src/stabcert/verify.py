@@ -26,7 +26,7 @@ from .errors import (
     Underflow,
     ZeroFrequency,
 )
-from .model import ComplexMatrix, Tolerances, as_complex_matrix
+from .model import ComplexMatrix, as_complex_matrix
 from .normalize import NormalizedSystem, map_state
 from .helmholtz import HelmholtzFrames, decompose
 
@@ -377,9 +377,7 @@ def block_inverse(A, Bop, Cop) -> ComplexMatrix:
     return out
 
 
-def change_of_variables_residual(
-    ns: NormalizedSystem, z, delta: float, U, F, tol: Tolerances | None = None
-) -> float:
+def change_of_variables_residual(ns: NormalizedSystem, z, delta: float, U, F) -> float:
     """Residual of the shifted-variable identity for a resolvent solution.
 
     Given (z - B) U = F in unit-weight variables with an invertible
@@ -408,7 +406,7 @@ def change_of_variables_residual(
     n0, n1 = ns.n0, ns.n1
     if n0 != n1:
         raise NotInvertible(f"coupling block must be square, got {D.shape}")
-    if decompose(D, tol).r < n0:
+    if decompose(D).r < n0:
         raise NotInvertible("coupling block is numerically rank deficient")
 
     U = np.asarray(U, dtype=complex)

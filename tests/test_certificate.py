@@ -15,7 +15,7 @@ from stabcert import (
 )
 
 from stabcert.certificate import _small_frequency_audit, prepare
-from stabcert.verify import _resolvent_norms
+from stabcert.verify import _resolvent_norms, admissible_start, random_components
 
 from helpers import haar_unitary, random_block_system, random_coercive
 
@@ -389,14 +389,52 @@ class TestPrepare:
             prepare(s)
 
     def test_random_start_uses_the_certified_splitting(self):
-        # rank(C) = 2 but rank(D) = 1: beta = diag(1, 100) takes C's singular
-        # value 5e-10 below the cutoff.  A start projected with the frames of C
-        # keeps a mode that the certificate excludes, and it never decays.
-        s = sc.validate_system(np.eye(2), np.diag([1.0, 100.0]), np.eye(2), np.diag([1.0, 5e-10]))
+        # rank(C) = 2 but rank(D) = 1: beta = diag(1, 1e4) takes C's singular
+        # value 1e-15 to 1e-17, below the rounding-level cutoff.  A start
+        # projected with the frames of C keeps a mode that the certificate
+        # excludes, and it never decays.
+        s = sc.validate_system(np.eye(2), np.diag([1.0, 1e4]), np.eye(2), np.diag([1.0, 1e-15]))
         assert sc.decompose(s.C).r == 2
         audit = sc.audit_system(s)
         assert audit.certificate.rank == 1
         assert all(audit.checks.values())
+
+    def test_resolvable_weak_coupling_is_kept_and_refused(self):
+        # D = diag(1, 5e-11): the weak singular value is far above rounding
+        # level, so it stays in the range, and the mode it couples decays at
+        # a rate near 2.5e-21, which no certificate can claim.
+        s = sc.validate_system(np.eye(2), np.diag([1.0, 100.0]), np.eye(2), np.diag([1.0, 5e-10]))
+        assert prepare(s).frames.r == 2
+        with pytest.raises(CertificateFailure):
+            sc.full_certificate(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponent=st.floats(-17.0, -8.0),
+        n0=st.integers(2, 4),
+        n1=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weak_singular_value_never_certifies_false_decay(self, exponent, n0, n1, seed):
+        # One singular value of C at 10**exponent * s_max, in random unitary
+        # frames: the system is refused, or the trajectory of an admissible
+        # start stays under M_total*exp(-delta_cert*t) until that is 1e-13.
+        rng = np.random.default_rng(seed)
+        r = min(n0, n1)
+        sv = np.concatenate([[1.0], rng.uniform(0.2, 1.0, r - 2), [10.0**exponent]])
+        C = haar_unitary(rng, n1)[:, :r] @ np.diag(sv) @ haar_unitary(rng, n0)[:, :r].conj().T
+        s = sc.validate_system(np.eye(n0), np.eye(n1), random_coercive(rng, n0), C)
+        try:
+            prep = prepare(s)
+            cert = sc.full_certificate(prep)
+        except sc.StabcertError:
+            return
+        ns = prep.normalized
+        U0, _ = admissible_start(ns, prep.frames, *random_components(seed, n0, n1))
+        t_end = math.log(cert.M_total / 1e-13) / cert.delta_cert
+        trace = sc.simulate(sc.assemble_generator(ns.gamma_tilde, ns.D), U0, t_end, 2001)
+        bound = cert.M_total * np.exp(-cert.delta_cert * trace.times)
+        assert np.all(trace.state_norms <= bound)
 
     def test_fast_decay_fits_above_the_rounding_floor(self):
         # Spectral abscissa -3: by t = 50/3 the trajectory sits on the

@@ -45,7 +45,7 @@ def test_maxwell_gen_then_certify(tmp_path):
 def test_problem_round_trip(tmp_path):
     problem = tmp_path / "m.json"
     assert main(["maxwell-gen", "--n", "2", "-o", str(problem)]) == 0
-    system, _ = load_problem(str(problem))
+    system = load_problem(str(problem))
     direct = sc.build_maxwell_system(sc.GridSpec(N=2))
     assert np.array_equal(system.alpha, direct.alpha)
     assert np.array_equal(system.beta, direct.beta)
@@ -143,6 +143,35 @@ def test_wrong_schema_version(tmp_path, capsys):
     f.write_text(json.dumps({"schema_version": 2}))
     assert main(["certify", str(f)]) == 1
     assert "schema_version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tolerances", [{"rank_rel_tol": 1e-3}, {"rank_tol": 1e-8}, [1, 2], {"solve_tol": "x"}]
+)
+def test_tolerances_key_is_refused(tmp_path, capsys, tolerances):
+    # A 1e-3 rank cutoff would drop the 1e-4 singular value and certify
+    # decay for a mode whose rate is about 1e-8.
+    path = Path(_write_problem(tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2),
+                               np.diag([1.0, 1e-4])))
+    payload = json.loads(path.read_text())
+    payload["tolerances"] = tolerances
+    path.write_text(json.dumps(payload))
+    assert main(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    parsed = json.loads(err)
+    assert parsed["error"] == "ValueError"
+    assert "'tolerances'" in parsed["detail"]
+
+
+def test_weak_coupling_is_not_certified(tmp_path, capsys):
+    # The second mode decays at a rate near 1e-20.  Dropping the 1e-10
+    # coupling would certify decay while the state stays near 1e-11.
+    problem = _write_problem(
+        tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, 9.999999e-11])
+    )
+    assert main(["certify", problem]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "CertificateFailure"
 
 
 def test_certify_reports_are_deterministic(tmp_path):

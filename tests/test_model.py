@@ -111,14 +111,3 @@ class TestOperatorNorm:
             Q = haar_unitary(rng, 4)
             assert abs(sc.operator_norm(Q @ M @ Q.conj().T) - sc.operator_norm(M)) <= 1e-10
 
-
-class TestTolerances:
-    def test_defaults_in_range(self):
-        tol = sc.Tolerances()
-        assert tol.hermitian_tol == 1e-12
-        assert tol.rank_rel_tol == tol.solve_tol == tol.eig_tol == 1e-10
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-6, 2e-3])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ParameterOutOfRange):
-            sc.Tolerances(solve_tol=bad)
