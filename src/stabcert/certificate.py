@@ -56,6 +56,7 @@ from .helmholtz import HelmholtzFrames, decompose, restricted_generator
 from .verify import (
     ResolventSweepReport,
     TrajectoryTrace,
+    _resolvent_norms,
     admissible_start,
     assemble_generator,
     fit_decay_rate,
@@ -351,8 +352,10 @@ def _small_frequency_audit(
     on Re z = -delta.  The check passes when the spectrum is that far left
     and the resolvent at 41 equally spaced nodes of the edge Re z = -delta,
     |Im z| <= im_half stays within ``M_total`` with no singular node.  The
-    nodes are samples; nothing bounds the norm between them.  Returns the
-    certified abscissa and the audit record.
+    nodes are samples; nothing bounds the norm between them.  Their norms
+    come from the dense SVD, not from the oracle sweeps' Lanczos engine,
+    whose Ritz values bound the norm from below: the lenient side for a
+    certificate.  Returns the certified abscissa and the audit record.
     """
     max_norm, singular = math.nan, 0
     for halvings in range(21):
@@ -360,8 +363,10 @@ def _small_frequency_audit(
             delta *= 0.5
         if not abscissa < -delta:
             continue
-        edge = gp_sweep(B_res, -delta, im_half, _AUDIT_POINTS)
-        max_norm, singular = edge.max_norm, edge.n_singular
+        lambdas = np.linspace(-im_half, im_half, _AUDIT_POINTS)
+        norms, hits = _resolvent_norms(B_res, -delta + 1j * lambdas)
+        singular = int(hits.sum())
+        max_norm = float(norms[~hits].max()) if singular < _AUDIT_POINTS else math.inf
         if singular == 0 and max_norm <= M_total:
             return delta, AuditRecord(
                 passed=True, halvings=halvings, max_resolvent_norm=max_norm, singular_hits=0,
@@ -378,8 +383,10 @@ def _small_frequency_audit(
 # Nodes on the edge Re z = -delta of the small-frequency audit.
 _AUDIT_POINTS = 41
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
-# and the two sweeps take 41 + 2*401 dense m x m SVDs: two minutes at m = 623
-# (N = 5, admitted), five times that per SVD at m = 1064 (N = 6, refused).
+# takes 41 dense m x m SVDs.  The two oracle sweeps take 2*401 more unless
+# inverse Lanczos converges within m // 8 steps; with per-cell materials
+# (nonscalar damping) it does not, and N = 5 (m = 623, admitted) takes two
+# minutes, five times that per SVD at m = 1064 (N = 6, refused).
 _MAX_AUDIT_DIM = 640
 
 

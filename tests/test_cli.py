@@ -164,6 +164,21 @@ def test_tolerances_key_is_refused(tmp_path, capsys, tolerances):
     assert "'tolerances'" in parsed["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--lambda-max", "0"],
+        ["certify", "--lambda-max", "-5"],
+        ["sweep", "--abscissa", "nan", "--lambda-max", "10", "--points", "11"],
+    ],
+)
+def test_invalid_sweep_range_is_refused(scalar_problem, capsys, argv):
+    # lambda_max = 0 sweeps z = 0 401 times and reports it bounded, a
+    # negative one reverses the grid, and a nan abscissa breaks the SVD.
+    assert main([argv[0], scalar_problem, *argv[1:]]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+
+
 def test_weak_coupling_is_not_certified(tmp_path, capsys):
     # The second mode decays at a rate near 1e-20.  Dropping the 1e-10
     # coupling would certify decay while the state stays near 1e-11.
@@ -233,3 +248,4 @@ def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
     assert metrics["normalize.normalize_system_calls"] == 1
     assert metrics["helmholtz.decompose_calls"] == 1
     assert metrics["certificate.audit_resolvent_evals"] == 41
+    assert metrics["verify.sweep_resolvent_evals"] == 802

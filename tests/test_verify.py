@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import stabcert as sc
 from stabcert import (
@@ -15,7 +16,8 @@ from stabcert import (
     Underflow,
     ZeroFrequency,
 )
-from stabcert.verify import _RESOLVENT_STACK_BYTES, _resolvent_norms
+from stabcert import verify
+from stabcert.verify import _RESOLVENT_STACK_BYTES, _resolvent_norms, _sweep_norms
 
 from helpers import (
     assemble_shifted,
@@ -186,6 +188,109 @@ class TestGpSweep:
         rep = sc.gp_sweep(B, 0.0, 1.0, 10)
         assert rep.lambdas.size == 11
         assert 0.0 in rep.lambdas
+
+
+def _grid_generator(**materials):
+    ns = sc.normalize_system(sc.build_maxwell_system(sc.GridSpec(N=3), **materials))
+    return sc.restricted_generator(ns.gamma_tilde, sc.decompose(ns.D))
+
+
+def _dense_points(monkeypatch):
+    """Spy on the dense fallback: the number of points handed to each call."""
+    sizes = []
+
+    def spy(B, zs):
+        sizes.append(np.asarray(zs).size)
+        return _resolvent_norms(B, zs)
+
+    monkeypatch.setattr(verify, "_resolvent_norms", spy)
+    return sizes
+
+
+class TestSweepEngine:
+    """The sweep engine against the dense SVD, :func:`_resolvent_norms`."""
+
+    def test_homogeneous_grid_takes_the_lanczos_path(self, monkeypatch):
+        B = _grid_generator()
+        dense = _dense_points(monkeypatch)
+        rep = sc.gp_sweep(B, 0.0, 50.0, 101)
+        assert sum(dense) == 0
+        norms, singular = _resolvent_norms(B, 1j * rep.lambdas)
+        assert rep.n_singular == 0 and not singular.any()
+        assert np.max(np.abs(rep.norms - norms) / norms) <= 1e-12
+
+    def test_per_cell_materials_take_the_dense_path_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        B = _grid_generator(eps=rng.uniform(1.0, 2.0, 27), sigma=rng.uniform(0.5, 1.5, 27))
+        zs = -0.01 + 1j * np.linspace(-50.0, 50.0, 41)
+        norms, singular = _sweep_norms(B, zs)
+        dense_norms, dense_singular = _resolvent_norms(B, zs)
+        assert np.array_equal(norms, dense_norms)
+        assert np.array_equal(singular, dense_singular)
+
+    def test_undamped_generator_keeps_the_dense_singular_points(self, monkeypatch):
+        B = sc.assemble_generator(0.0 * np.eye(8), np.eye(8))
+        dense = _dense_points(monkeypatch)
+        rep = sc.gp_sweep(B, 0.0, 2.0, 401)
+        assert 0 < sum(dense) < 401
+        norms, singular = _resolvent_norms(B, 1j * rep.lambdas)
+        assert np.isclose(rep.singular_points, [-1.0, 1.0]).all()
+        assert np.array_equal(rep.lambdas[singular], rep.singular_points)
+        ok = ~singular
+        assert np.max(np.abs(rep.norms[ok] - norms[ok]) / norms[ok]) <= 1e-12
+
+    def test_nonnormal_near_singular_point_follows_the_dense_rule(self, monkeypatch):
+        # A nilpotent Jordan block J_8 beside -I_72: at z = 1e-3 every
+        # eigenvalue is 1e-3 away, yet sigma_min(z - J_8) is about 1e-24.
+        # Lanczos converges there, and only its sigma_min sends the point
+        # to the dense SVD, which calls it singular.
+        B = np.zeros((80, 80), dtype=complex)
+        B[:72, :72] = -np.eye(72)
+        B[72:, 72:] = np.eye(8, k=1)
+        zs = 1e-3 + 1j * np.linspace(-2.0, 2.0, 41)
+        dense = _dense_points(monkeypatch)
+        norms, singular = _sweep_norms(B, zs)
+        assert dense == [1]
+        dense_norms, dense_singular = _resolvent_norms(B, zs)
+        assert np.array_equal(singular, dense_singular) and singular[20]
+        ok = ~singular
+        assert np.max(np.abs(norms[ok] - dense_norms[ok]) / dense_norms[ok]) <= 1e-12
+
+    def test_repeated_calls_are_bit_identical(self):
+        B = _grid_generator()
+        zs = -0.01 + 1j * np.linspace(-50.0, 50.0, 41)
+        first, second = _sweep_norms(B, zs), _sweep_norms(B, zs)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n0=st.integers(8, 24),
+        n1=st.integers(8, 24),
+        distinct=st.integers(1, 3),
+        c=st.floats(0.05, 5.0),
+        abscissa=st.floats(0.05, 1.0),
+        lambda_max=st.floats(0.5, 50.0),
+    )
+    def test_scalar_damping_matches_dense(self, seed, n0, n1, distinct, c, abscissa, lambda_max):
+        # Scalar damping and a coupling with few distinct singular values in
+        # random unitary frames: Lanczos converges within its budget on about
+        # a quarter of the draws, and every draw must agree with the dense
+        # SVD.  B is
+        # dissipative, so Re z >= 0.05 keeps sigma_min(z - B) >= 0.05, where
+        # the dense SVD itself is accurate to 1e-12 relative.
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(1, min(n0, n1) + 1))
+        s = rng.choice(rng.uniform(0.1, 3.0, distinct), r)
+        D = haar_unitary(rng, n1)[:, :r] @ np.diag(s) @ haar_unitary(rng, n0)[:r, :]
+        B = sc.assemble_generator(c * np.eye(n0), D)
+        zs = abscissa + 1j * np.linspace(-lambda_max, lambda_max, 41)
+        norms, singular = _sweep_norms(B, zs)
+        dense_norms, dense_singular = _resolvent_norms(B, zs)
+        assert np.array_equal(singular, dense_singular)
+        ok = ~singular
+        assert np.all(np.abs(norms[ok] - dense_norms[ok]) <= 1e-12 * dense_norms[ok])
 
 
 class TestSpectralAbscissa:
