@@ -59,10 +59,10 @@ def main():
     print("  half-margin d               = %.4f   [%s]" % (inner.d, FORMULAS["d"]))
     print("  interior resolvent bound    = %.2f   [%s]" % (inner.M_inner, FORMULAS["M_inner"]))
 
-    print("\nsmall-frequency audit: %d nodes on the edge Re z = %.4f, Im in [%.3f, %.3f]"
-          % (cert.audit.grid_shape[1], cert.audit.re_range[0], *cert.audit.im_range))
-    print("  halvings: %d, max resolvent norm on the edge: %.3f"
-          % (cert.audit.halvings, cert.audit.max_resolvent_norm))
+    print("\nsmall-frequency audit: Neumann cover of Re z >= %.4f, |z| <= %.3f"
+          % (cert.audit.re_range[0], cert.audit.im_range[1]))
+    print("  resolvent evaluations: %d, halvings: %d, largest enclosure: %.3f"
+          % (cert.audit.grid_shape[1], cert.audit.halvings, cert.audit.max_resolvent_norm))
 
     print("\ncertificate:  decay rate >= %.5f,  resolvent bound M = %.2f"
           % (cert.delta_cert, cert.M_total))

@@ -20,10 +20,9 @@ The decay certificate is assembled from one inequality per link:
   bounded by 4/(3c), and the decoupling transforms by 1 + (4/3)||gamma||/c.
 
 * The remaining small-|z| disk segment, which the interior estimate does
-  not reach, must hold no spectrum; the resolvent norm is subharmonic
-  there, so it is checked by explicit resolvent evaluation on the segment's
-  left edge Re z = -delta only.  On failure the certified abscissa is
-  halved and the check repeats.
+  not reach, is covered by squares on each of which the Neumann series
+  around the centre's resolvent keeps the norm within M_total.  On failure
+  the certified abscissa is halved and the cover repeats.
 
 :func:`full_certificate` and :func:`audit_system`, which adds the oracle
 checks, share one :func:`prepare` of the system.
@@ -122,10 +121,11 @@ class InvertibleCaseCertificate:
 
 @dataclass(frozen=True)
 class AuditRecord:
-    """Outcome of the small-frequency resolvent check.
+    """Outcome of the small-frequency Neumann cover.
 
-    The nodes lie on the edge Re z = -delta (``re_range`` holds -delta
-    twice, ``grid_shape`` is 1 x points) with Im z in ``im_range``.
+    ``re_range`` x ``im_range`` bounds the covered disk segment,
+    ``grid_shape`` is 1 x (resolvent evaluations of the passing pass), and
+    ``max_resolvent_norm`` is the largest enclosure, a bound on the segment.
     """
 
     passed: bool
@@ -171,15 +171,13 @@ class PreparedProblem:
     """A system after the steps every certificate starts from.
 
     ``normalized`` is the unit-weight system, ``frames`` the range/kernel
-    frames of its coupling ``D``, ``B_res`` the normalized generator
-    restricted to H0 x ran(D) in frame coordinates, and ``abscissa`` the
-    largest real part of its spectrum.
+    frames of its coupling ``D``, and ``B_res`` the normalized generator
+    restricted to H0 x ran(D) in frame coordinates.
     """
 
     normalized: NormalizedSystem
     frames: HelmholtzFrames
     B_res: ComplexMatrix
-    abscissa: float
 
 
 @dataclass(frozen=True)
@@ -339,54 +337,55 @@ def kernel_block_bound(c: float, re_z_floor: float) -> float:
 
 
 def _small_frequency_audit(
-    B_res: np.ndarray, abscissa: float, delta: float, im_half: float, M_total: float
+    B_res: np.ndarray, delta: float, im_half: float, M_total: float
 ) -> tuple[float, AuditRecord]:
-    """Halve the claimed abscissa until the small-frequency check passes.
+    """Halve the claimed abscissa until a Neumann cover of the disk segment passes.
 
-    The interior bound covers |z| >= im_half = 2 delta*, leaving the disk
-    segment S = {Re z >= -delta, |z| <= im_half}, the strip 0 < Re z
-    included.  Once the spectrum of ``B_res`` (largest real part
-    ``abscissa``) lies strictly left of Re z = -delta, the resolvent norm is
-    subharmonic near S, so its maximum over S is taken on the boundary: the
-    arc |z| = im_half, which the interior bound covers, and the chord of S
-    on Re z = -delta.  The check passes when the spectrum is that far left
-    and the resolvent at 41 equally spaced nodes of the edge Re z = -delta,
-    |Im z| <= im_half stays within ``M_total`` with no singular node.  The
-    nodes are samples; nothing bounds the norm between them.  Their norms
-    come from the dense SVD, not from the oracle sweeps' Lanczos engine,
-    whose Ritz values bound the norm from below: the lenient side for a
-    certificate.  Returns the certified abscissa and the audit record.
+    The interior bound covers |z| >= im_half = 2 delta*, leaving the segment
+    S = {Re z >= -delta, |z| <= im_half}.  By the Neumann series, ||R(z0)|| = rho
+    and |z - z0| <= r < 1/rho give ||R(z)|| <= rho / (1 - rho r) (Trefethen
+    and Embree, *Spectra and Pseudospectra*, 2005).  From the square of side
+    2 im_half with left edge Re z = -delta, a square is covered when its centre
+    norm (dense SVD, never the sweeps' Lanczos lower bounds) gives an enclosure
+    over its half-diagonal within ``M_total``; any other splits in four, and
+    the quarters that meet the disk go on.  A singular centre, one above
+    ``M_total`` or more than _AUDIT_EVALS evaluations end the pass and halve
+    delta.  A passed cover proves S free of spectrum with norm at most the
+    largest enclosure, up to the rounding of the centre norms.
     """
-    max_norm, singular = math.nan, 0
-    for halvings in range(21):
-        if halvings:
-            delta *= 0.5
-        if not abscissa < -delta:
-            continue
-        lambdas = np.linspace(-im_half, im_half, _AUDIT_POINTS)
-        norms, hits = _resolvent_norms(B_res, -delta + 1j * lambdas)
-        singular = int(hits.sum())
-        max_norm = float(norms[~hits].max()) if singular < _AUDIT_POINTS else math.inf
-        if singular == 0 and max_norm <= M_total:
+    corners = 0.5 * np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
+    for halvings, delta in enumerate([delta * 0.5**k for k in range(21)]):
+        side, evals, largest, enclosed = 2.0 * im_half, 0, 0.0, []
+        centres = np.array([im_half - delta + 0j])  # covers S since delta < im_half
+        while centres.size and evals + centres.size <= _AUDIT_EVALS:
+            evals += centres.size
+            rho = _resolvent_norms(B_res, centres)[0]  # +inf at a singular centre
+            largest = max(largest, float(rho.max()))
+            if largest > M_total:
+                break
+            slack = 1.0 - rho * side / math.sqrt(2.0)
+            enclosure = np.divide(rho, slack, out=np.full_like(rho, math.inf), where=slack > 0)
+            enclosed.extend(enclosure[enclosure <= M_total].tolist())
+            side *= 0.5
+            kids = (centres[enclosure > M_total, None] + side * corners).ravel()
+            gap = np.hypot(*np.maximum(np.abs([kids.real, kids.imag]) - 0.5 * side, 0.0))
+            centres = kids[gap <= im_half]
+        if not centres.size:
             return delta, AuditRecord(
-                passed=True, halvings=halvings, max_resolvent_norm=max_norm, singular_hits=0,
-                re_range=(-delta, -delta), im_range=(-im_half, im_half),
-                grid_shape=(1, _AUDIT_POINTS),
+                passed=True, halvings=halvings, max_resolvent_norm=max(enclosed), singular_hits=0,
+                re_range=(-delta, im_half), im_range=(-im_half, im_half), grid_shape=(1, evals),
             )
     raise CertificateFailure(
-        "small-frequency audit failed after 20 halvings; spectral abscissa "
-        f"{abscissa:.6g} vs -delta {-delta:.6g}, last edge max {max_norm:.6g} "
-        f"vs bound {M_total:.6g}, {singular} singular edge points"
+        f"small-frequency audit failed after 20 halvings; at -delta {-delta:.6g} the cover "
+        f"stopped after {evals} evaluations, largest centre norm {largest:.6g} vs bound {M_total:.6g}"
     )
 
 
-# Nodes on the edge Re z = -delta of the small-frequency audit.
-_AUDIT_POINTS = 41
+_AUDIT_EVALS = 128  # dense resolvent evaluations per pass of the small-frequency cover
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
-# takes 41 dense m x m SVDs.  The two oracle sweeps take 2*401 more unless
-# inverse Lanczos converges within m // 8 steps; with per-cell materials
-# (nonscalar damping) it does not, and N = 5 (m = 623, admitted) takes two
-# minutes, five times that per SVD at m = 1064 (N = 6, refused).
+# takes a few dense m x m SVDs; the two oracle sweeps take 2*401 more unless
+# inverse Lanczos converges within m // 8 steps.  With per-cell materials it does
+# not, and N = 5 (m = 623, admitted) takes two minutes; N = 6 (m = 1064) is refused.
 _MAX_AUDIT_DIM = 640
 
 
@@ -407,6 +406,8 @@ def prepare(sys: BlockSystem) -> PreparedProblem:
         If the restricted generator would have more than 640 rows, too many
         for the dense audit to finish.
     """
+    if sys.n0 > _MAX_AUDIT_DIM:  # m >= n0: refuse before normalizing
+        raise GridTooLarge(f"n0 = {sys.n0} rows already exceed the audit limit {_MAX_AUDIT_DIM}")
     ns = normalize_system(sys)
     frames = decompose(ns.D)
     if frames.r == 0 and sys.n1 > 0:
@@ -419,8 +420,7 @@ def prepare(sys: BlockSystem) -> PreparedProblem:
         raise GridTooLarge(
             f"restricted generator would have {m} rows, above the audit limit {_MAX_AUDIT_DIM}"
         )
-    B_res = restricted_generator(ns.gamma_tilde, frames)
-    return PreparedProblem(ns, frames, B_res, spectral_abscissa(B_res))
+    return PreparedProblem(ns, frames, restricted_generator(ns.gamma_tilde, frames))
 
 
 def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate:
@@ -434,9 +434,8 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
     ZeroRangeOperator, GridTooLarge
         As :func:`prepare`.
     CertificateFailure
-        If the small-frequency audit (spectrum left of -delta, resolvent
-        on the edge Re z = -delta within M_total) cannot be satisfied
-        even after halving the claimed abscissa twenty times.
+        If no Neumann cover of the small-frequency disk segment passes
+        within M_total, even after halving the claimed abscissa twenty times.
     """
     prep = sys if isinstance(sys, PreparedProblem) else prepare(sys)
     ns, frames = prep.normalized, prep.frames
@@ -471,7 +470,7 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
         delta0 = a0
         im_half = 2.0 * delta0
 
-    delta, audit = _small_frequency_audit(prep.B_res, prep.abscissa, delta0, im_half, M_total)
+    delta, audit = _small_frequency_audit(prep.B_res, delta0, im_half, M_total)
     return StabilityCertificate(
         delta_cert=delta,
         M_total=M_total,
@@ -512,6 +511,7 @@ def audit_system(
     prep = prepare(sys)
     ns = prep.normalized
     cert = full_certificate(prep)
+    abscissa = spectral_abscissa(prep.B_res)
     sweeps = tuple(
         gp_sweep(prep.B_res, a, lambda_max, points) for a in (0.0, -cert.delta_cert / 2.0)
     )
@@ -521,7 +521,7 @@ def audit_system(
 
     # The rounding-level part of U0 in ker(D*) never decays; end the run
     # while the decaying part, near exp(-30), is still far above it.
-    t_end = min(t_end, 30.0 / max(-prep.abscissa, 0.25))
+    t_end = min(t_end, 30.0 / max(-abscissa, 0.25))
     trace = simulate(assemble_generator(ns.gamma_tilde, ns.D), U0, t_end, samples)
     fitted = fit_decay_rate(trace)
 
@@ -530,7 +530,7 @@ def audit_system(
     norms = trace.state_norms
     checks = {
         "audit_passed": bool(cert.audit.passed),
-        "spectral_abscissa_sound": bool(prep.abscissa <= -cert.delta_cert + 1e-9),
+        "spectral_abscissa_sound": bool(abscissa <= -cert.delta_cert + 1e-9),
         "sweep_at_zero_bounded": bool(at_zero),
         "sweep_at_half_bounded": bool(at_half),
         "decay_at_least_certified": bool(fitted >= cert.delta_cert - 1e-6),
@@ -540,7 +540,7 @@ def audit_system(
     }
     return SystemAudit(
         certificate=cert,
-        abscissa=prep.abscissa,
+        abscissa=abscissa,
         sweeps=sweeps,
         trace=trace,
         fitted_rate=fitted,

@@ -14,6 +14,7 @@ from stabcert import (
     ZeroRangeOperator,
 )
 
+from stabcert import certificate
 from stabcert.certificate import _small_frequency_audit, prepare
 from stabcert.verify import _resolvent_norms, admissible_start, random_components
 
@@ -261,15 +262,55 @@ class TestSmallFrequencyAudit:
         norms, singular = _resolvent_norms(B, zs)
         assert not singular.any() and norms.max() <= 1e300
         # ... so the spectrum check must push delta past it.
-        delta, audit = _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300)
+        delta, audit = _small_frequency_audit(B, 0.1, 0.2, 1e300)
         assert delta < -self.LAM.real
         assert audit.halvings == 1
-        assert audit.re_range == (-delta, -delta)
+        assert audit.re_range == (-delta, 0.2)
+
+    def test_eigenvalue_just_left_of_the_edge_forces_halving(self):
+        # The spectrum lies left of Re z = -0.1, and the 41 edge nodes, 0.005
+        # from the eigenvalue in Im z, stay near 300.  But the edge point
+        # -0.1 + 0.005j, 1e-6 from the eigenvalue, has norm 1.56e6 > M_total.
+        B = self._b_res(-0.1 - 1e-6 + 0.005j)
+        edge = -0.1 + 1j * np.linspace(-0.2, 0.2, 41)
+        assert _resolvent_norms(B, edge)[0].max() < 1e3
+        assert _resolvent_norms(B, [-0.1 + 0.005j])[0][0] > 1e6
+        delta, audit = _small_frequency_audit(B, 0.1, 0.2, 1e3)
+        assert audit.halvings == 1 and delta == 0.05
+        at_edge = _resolvent_norms(B, [-delta + 0.005j])[0][0]
+        assert at_edge <= audit.max_resolvent_norm <= 1e3
 
     def test_spectrum_in_right_half_plane_fails(self):
+        # The eigenvalue stays in the segment at every delta, so no cover can
+        # pass and each of the 21 passes runs into the evaluation cap.
         B = self._b_res(0.01 + 0.005j)
-        with pytest.raises(CertificateFailure, match="spectral abscissa 0.01 "):
-            _small_frequency_audit(B, sc.spectral_abscissa(B), 0.1, 0.2, 1e300)
+        with pytest.raises(CertificateFailure, match=r"the cover stopped after \d+ evaluations"):
+            _small_frequency_audit(B, 0.1, 0.2, 1e300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n0=st.integers(1, 4),
+        n1=st.integers(1, 4),
+        c_gamma=st.floats(0.05, 5.0),
+    )
+    def test_cover_bounds_the_segment(self, seed, n0, n1, c_gamma):
+        # A passed cover bounds the norm at every point of the disk segment
+        # by the largest enclosure; 1e-12 allows for the rounding of the SVD.
+        rng = np.random.default_rng(seed)
+        s = random_block_system(rng, n0, n1, int(rng.integers(1, min(n0, n1) + 1)), c_gamma)
+        prep = prepare(s)
+        try:
+            cert = sc.full_certificate(prep)
+        except CertificateFailure:
+            return
+        audit = cert.audit
+        box = rng.uniform(*audit.re_range, 400) + 1j * rng.uniform(*audit.im_range, 400)
+        zs = box[np.abs(box) <= audit.im_range[1]]
+        norms, singular = _resolvent_norms(prep.B_res, zs)
+        assert not singular.any()
+        assert norms.max(initial=0.0) <= audit.max_resolvent_norm * (1 + 1e-12)
+        assert audit.max_resolvent_norm <= cert.M_total
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -387,6 +428,17 @@ class TestPrepare:
         s = sc.validate_system(np.eye(n), np.eye(n), np.eye(n), np.eye(n))
         with pytest.raises(GridTooLarge, match="660 rows"):
             prepare(s)
+
+    def test_first_component_above_the_limit_is_refused_before_normalizing(self, monkeypatch):
+        # m = n0 + rank >= n0 = 641 exceeds the limit whatever the rank, so
+        # neither the normalization nor the SVD of D is needed to refuse it.
+        n0 = 641
+        s = sc.BlockSystem(np.eye(n0), np.eye(1), np.eye(n0), np.ones((1, n0)), 1.0, 1.0, 1.0)
+        calls = []
+        monkeypatch.setattr(certificate, "normalize_system", lambda *args: calls.append(args))
+        with pytest.raises(GridTooLarge, match="641"):
+            prepare(s)
+        assert calls == []
 
     def test_random_start_uses_the_certified_splitting(self):
         # rank(C) = 2 but rank(D) = 1: beta = diag(1, 1e4) takes C's singular

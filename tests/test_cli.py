@@ -247,5 +247,5 @@ def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
     metrics = tracing.pass_metrics(tracer.take())
     assert metrics["normalize.normalize_system_calls"] == 1
     assert metrics["helmholtz.decompose_calls"] == 1
-    assert metrics["certificate.audit_resolvent_evals"] == 41
+    assert metrics["certificate.audit_resolvent_evals"] == 1
     assert metrics["verify.sweep_resolvent_evals"] == 802

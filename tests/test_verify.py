@@ -347,8 +347,6 @@ class TestFitDecayRate:
         trace = sc.TrajectoryTrace(
             times=times,
             state_norms=np.exp(-0.5 * times),
-            fitted_rate=None,
-            fit_window=None,
             method="synthetic",
         )
         assert sc.fit_decay_rate(trace) == pytest.approx(0.5, abs=1e-8)
@@ -368,18 +366,18 @@ class TestFitDecayRate:
         # oscillation, the envelope fit recovers the rate to high accuracy.
         times = np.linspace(0.0, 40.0, 4001)
         norms = np.exp(-0.3 * times) * (1.1 + np.cos(2.0 * times))
-        trace = sc.TrajectoryTrace(times, norms, None, None, "synthetic")
+        trace = sc.TrajectoryTrace(times, norms, "synthetic")
         assert sc.fit_decay_rate(trace) == pytest.approx(0.3, abs=1e-3)
 
     def test_underflow_detected(self):
         times = np.linspace(0.0, 300.0, 400)
-        trace = sc.TrajectoryTrace(times, np.exp(-0.5 * times), None, None, "synthetic")
+        trace = sc.TrajectoryTrace(times, np.exp(-0.5 * times), "synthetic")
         with pytest.raises(Underflow):
             sc.fit_decay_rate(trace)
 
     def test_too_few_samples(self):
         times = np.linspace(0.0, 1.0, 8)
-        trace = sc.TrajectoryTrace(times, np.exp(-times), None, None, "synthetic")
+        trace = sc.TrajectoryTrace(times, np.exp(-times), "synthetic")
         with pytest.raises(TooFewSamples):
             sc.fit_decay_rate(trace)
 
