@@ -86,6 +86,8 @@ FORMULAS = {
     "u_term": "c - delta*(1 + ((gamma_norm + delta)*C_inv_norm)**2 / (2*p))",
     "v_term": "delta*(1 - p/2)",
     "c_tilde": "u_term evaluated at (delta_star, p_star)",
+    "delta_star": "the root in (0, c/2) of 2*C_inv_norm**2*delta**3 + 3*C_inv_norm**2*gamma_norm*delta**2"
+    " + (C_inv_norm**2*gamma_norm**2 + 4)*delta - 2*c",
     "d": "0.5*min(c_tilde, delta_star*(1 - p_star/2))",
     "M_inner": "(2/d)*((1 + gamma_norm + delta_star)*C_inv_norm + 2)",
     "working_abscissa": "c/4",
@@ -225,7 +227,7 @@ def damping_lower_bound(
 # Young parameters stay strictly inside (0, 2).
 _P_MIN, _P_MAX = float(np.finfo(float).tiny), float(np.nextafter(2.0, 0.0))
 _EPS = float(np.finfo(float).eps)
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_DELTA_MIN = math.ulp(0.0)  # smallest positive shift, the bisection's lower end
 
 
 def _balanced_margin(
@@ -233,21 +235,19 @@ def _balanced_margin(
 ) -> tuple[float, float, float]:
     """Best ``(d, p, u_term)`` over p at a fixed shift.
 
-    u_term rises and v_term falls with p, so the optimum is the positive
-    root of delta*p**2 + 2*(c - 2*delta)*p - delta*t**2 = 0, where they are
-    equal; each branch below is free of cancellation.  When d is far below
-    c, the computed u_term (c minus a nearly equal quantity) carries a
+    u_term rises and v_term falls with p, so the optimum is where they are
+    equal: the positive root of p**2 + 2*beta*p - t**2 = 0, with
+    beta = (c - 2*delta)/delta, and there d = (c - delta*hypot(beta, t))/4.
+    Each branch below is free of cancellation, and the first divides by
+    hypot(beta, t) first so that no intermediate overflows.  When d is far
+    below c, the computed u_term (c minus a nearly equal quantity) carries a
     rounding error larger than d, so p raised by 64 ulps, where u_term no
     longer binds, is tried as well.
     """
     t = (gamma_norm + delta) * C_inv_norm
-    b, y = c - 2.0 * delta, delta * t
-    # sqrt(b*b + y*y) on operands scaled by a power of two: no overflow, and
-    # since the scaling is exact, the plain formula's bits wherever it works.
-    e = math.frexp(max(abs(b), y))[1]
-    bs, ys = math.ldexp(b, -e), math.ldexp(y, -e)
-    root = math.ldexp(math.sqrt(bs * bs + ys * ys), e)
-    p = delta * t * t / (b + root) if b > 0 else (root - b) / delta
+    beta = (c - 2.0 * delta) / delta
+    root = math.hypot(beta, t)
+    p = t * (t / root) / (1.0 + beta / root) if beta > 0 else root - beta
 
     def at(q):
         q = min(max(q, _P_MIN), _P_MAX)
@@ -262,16 +262,16 @@ def optimize_shift(
 ) -> tuple[float, float, float, float]:
     """Maximize d = (1/2) min(u_term, v_term) over the shift delta and p.
 
-    For each delta the best p is a closed-form root (see _balanced_margin).
-    u_term can be positive only below the root delta_hi of
-    delta*(1 + t**2/4) = c, and ``ceiling`` below is within a factor 3
-    above delta_hi.  The margin at delta_hi/2, p = 3/2 is at least
-    delta_hi/16 and every margin is below delta/2, so the best delta lies
-    in (ceiling/24, ceiling).  Every positive superlevel set of the margin
-    as a function of delta is an interval, so it is unimodal; it is still
-    bracketed on a coarse log grid before a golden-section search in
-    log delta.  Returns ``(delta_star, p_star, c_tilde, d)``, with c_tilde
-    and d exactly as :func:`damping_lower_bound` computes them there.
+    At the balanced p of :func:`_balanced_margin`, d = (c - sqrt(f))/4 with
+    f(delta) = (c - 2 delta)**2 + delta**2 (g + delta)**2 K**2, where
+    g = gamma_norm and K = C_inv_norm.  f is strictly convex on delta > 0,
+    so the best shift is the one root of the increasing cubic
+
+        f'(delta)/2 = 2 K**2 delta**3 + 3 K**2 g delta**2 + (K**2 g**2 + 4) delta - 2 c,
+
+    which is -2c at 0 and positive at c/2.  Bisection in log delta finds it
+    to the last bit.  Returns ``(delta_star, p_star, c_tilde, d)``, with
+    c_tilde and d exactly as :func:`damping_lower_bound` computes them there.
     """
     if not c > 0 or not C_inv_norm > 0:
         raise DegenerateProblem(
@@ -279,31 +279,18 @@ def optimize_shift(
         )
     if not gamma_norm >= 0:
         raise ParameterOutOfRange("gamma_norm must be nonnegative")
-    gK = gamma_norm * C_inv_norm
-    ceiling = min(c / (1.0 + 0.25 * gK * gK), (4.0 * c) ** (1 / 3) / C_inv_norm ** (2 / 3))
-    if not ceiling > 0:
-        raise DegenerateProblem("no positive shift keeps u_term positive")
-
-    def margin(x):
-        return _balanced_margin(c, gamma_norm, C_inv_norm, math.exp(x))[0]
-
-    xs = [math.log(ceiling) - 0.25 * math.log(2.0) * k for k in range(20, -1, -1)]
-    values = [margin(x) for x in xs]
-    i = max(range(len(xs)), key=values.__getitem__)
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    f1, f2 = margin(x1), margin(x2)
-    while b - a > 1e-10:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = margin(x2)
+    g, K = gamma_norm, C_inv_norm
+    lo, hi = _DELTA_MIN, max(0.5 * c, _DELTA_MIN)
+    while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
+        # f'(mid)/4 < 0, grouped so that nothing overflows or underflows early
+        if mid * (K * (g + mid)) * (K * (g + 2.0 * mid) / 4.0) < 0.5 * c - mid:
+            lo = mid
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = margin(x1)
-    delta_star = math.exp(max((values[i], xs[i]), (f1, x1), (f2, x2))[1])
-    d, p_star, u_term = _balanced_margin(c, gamma_norm, C_inv_norm, delta_star)
+            hi = mid
+    delta_star, t = hi, (g + hi) * K
+    if not t * t < math.inf:
+        raise DegenerateProblem("((gamma_norm + delta) * C_inv_norm)**2 overflows at the optimal shift")
+    d, p_star, u_term = _balanced_margin(c, g, K, delta_star)
     if not d > 0:
         raise DegenerateProblem("shift optimization produced a nonpositive margin")
     return delta_star, p_star, u_term, d
@@ -398,10 +385,6 @@ def prepare(sys: BlockSystem) -> PreparedProblem:
 
     Raises
     ------
-    ZeroRangeOperator
-        If the coupling has rank zero while the second component space is
-        nontrivial; its dynamics then have no damping path and no product-
-        space decay certificate exists.
     GridTooLarge
         If the restricted generator would have more than 640 rows, too many
         for the dense audit to finish.
@@ -410,11 +393,6 @@ def prepare(sys: BlockSystem) -> PreparedProblem:
         raise GridTooLarge(f"n0 = {sys.n0} rows already exceed the audit limit {_MAX_AUDIT_DIM}")
     ns = normalize_system(sys)
     frames = decompose(ns.D)
-    if frames.r == 0 and sys.n1 > 0:
-        raise ZeroRangeOperator(
-            "coupling operator has rank 0 but the second component space has "
-            f"dimension {sys.n1}; only the damped first-component block decays"
-        )
     m = sys.n0 + frames.r
     if m > _MAX_AUDIT_DIM:
         raise GridTooLarge(
@@ -431,8 +409,12 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
 
     Raises
     ------
-    ZeroRangeOperator, GridTooLarge
+    GridTooLarge
         As :func:`prepare`.
+    ZeroRangeOperator
+        If the coupling has rank zero while the second component space is
+        nontrivial; its dynamics then have no damping path and no product-
+        space decay certificate exists.
     CertificateFailure
         If no Neumann cover of the small-frequency disk segment passes
         within M_total, even after halving the claimed abscissa twenty times.
@@ -440,6 +422,11 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
     prep = sys if isinstance(sys, PreparedProblem) else prepare(sys)
     ns, frames = prep.normalized, prep.frames
     r, n0, n1 = frames.r, ns.n0, ns.n1
+    if r == 0 and n1 > 0:
+        raise ZeroRangeOperator(
+            "coupling operator has rank 0 but the second component space has "
+            f"dimension {n1}; only the damped first-component block decays"
+        )
 
     c = ns.c_gamma_tilde
     g = operator_norm(ns.gamma_tilde)

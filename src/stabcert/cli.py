@@ -26,8 +26,8 @@ import numpy as np
 from .errors import StabcertError
 from .model import validate_system
 from .normalize import normalize_system
-from .helmholtz import decompose, decoupling_transforms, restricted_generator
-from .certificate import FORMULAS, audit_system
+from .helmholtz import decompose, decoupling_transforms
+from .certificate import FORMULAS, audit_system, prepare
 from .maxwell import GridSpec, build_maxwell_system
 from .verify import (
     admissible_start,
@@ -157,10 +157,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    system = load_problem(args.problem)
-    ns = normalize_system(system)
-    frames = decompose(ns.D)
-    B_res = restricted_generator(ns.gamma_tilde, frames)
+    B_res = prepare(load_problem(args.problem)).B_res
     report_data = gp_sweep(B_res, args.abscissa, args.lambda_max, args.points)
     report = {
         "schema_version": SCHEMA_VERSION,

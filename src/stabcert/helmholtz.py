@@ -22,6 +22,7 @@ resolvent sweeps move z densely and caching invites staleness bugs.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     HalfPlaneViolation,
+    ParameterOutOfRange,
     SingularKernelBlock,
     SingularReducedBlock,
 )
@@ -203,11 +205,13 @@ def restricted_generator(gamma, frames: HelmholtzFrames) -> ComplexMatrix:
 def decoupling_transforms(gamma, frames: HelmholtzFrames, z, c: float) -> DecoupledBlocks:
     """Assemble the Schur block and the decoupling transforms at frequency z.
 
-    Requires Re z > -c, where c is the coercivity constant of gamma, so
-    that the shifted kernel block z + kappa0* gamma kappa0 is invertible
-    with norm of the inverse at most 1 / (Re z + c).
+    Requires a finite z with Re z > -c, where c is the coercivity constant
+    of gamma, so that the shifted kernel block z + kappa0* gamma kappa0 is
+    invertible with norm of the inverse at most 1 / (Re z + c).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterOutOfRange(f"z must be finite, got {z!r}")
     if not z.real > -c:
         raise HalfPlaneViolation(f"Re z = {z.real:.6g} is not > -c = {-c:.6g}")
     G00, G0k, Gk0, Gkk = _gamma_blocks(gamma, frames)

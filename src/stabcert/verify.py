@@ -326,8 +326,10 @@ def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
     U0 = np.asarray(U0, dtype=complex)
     if U0.shape != (n,):
         raise DimensionMismatch(f"U0 must have length {n}, got {U0.shape}")
-    if not t_end > 0:
-        raise ParameterOutOfRange("t_end must be positive")
+    if not np.isfinite(U0).all():
+        raise ParameterOutOfRange("U0 contains non-finite entries")
+    if not 0 < t_end < math.inf:
+        raise ParameterOutOfRange(f"t_end must be finite and positive, got {t_end!r}")
     if samples < 2:
         raise ParameterOutOfRange("samples must be at least 2")
 

@@ -172,6 +172,10 @@ class TestOptimizeShift:
         assert d == 0.5 * min(u, v)
         assert c_tilde == u
         assert d >= _grid_shift(c, gamma_norm, C_inv_norm) - 1e-12
+        # delta is a root of f'/2, the cubic whose root maximizes the margin
+        g, K2 = gamma_norm, C_inv_norm**2
+        terms = (2 * K2 * delta**3, 3 * K2 * g * delta**2, (K2 * g * g + 4) * delta, -2 * c)
+        assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms))
 
 
 class TestInvertibleCertificate:

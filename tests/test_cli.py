@@ -249,3 +249,39 @@ def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
     assert metrics["helmholtz.decompose_calls"] == 1
     assert metrics["certificate.audit_resolvent_evals"] == 1
     assert metrics["verify.sweep_resolvent_evals"] == 802
+
+
+def test_sweep_refuses_oversized_generator(scalar_problem, monkeypatch, capsys):
+    # sweep builds B_res through prepare, so the audit's size guard applies.
+    monkeypatch.setattr(sc.certificate, "_MAX_AUDIT_DIM", 1)
+    argv = ["sweep", scalar_problem, "--abscissa", "0", "--lambda-max", "10", "--points", "11"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "GridTooLarge"
+
+
+def test_sweep_of_rank_zero_coupling(tmp_path):
+    # certify refuses a rank-zero coupling; the oracle sweep still runs.
+    problem = _write_problem(tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", problem, "--abscissa", "0", "--lambda-max", "10", "--points", "11", "-o", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["sweep"]["singular_points"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, u0",
+    [
+        (["reduce", "--z", "1,nan"], None),
+        (["reduce", "--z", "inf,0"], None),
+        (["simulate", "--t-end", "inf", "--samples", "11"], None),
+        (["simulate", "--t-end", "1", "--samples", "11"], [[1.0, 0.0], [float("nan"), 0.0]]),
+    ],
+)
+def test_non_finite_input_is_refused(scalar_problem, tmp_path, capsys, argv, u0):
+    # Without the check the run completes and fails only when JSON refuses nan.
+    if u0 is not None:
+        u0_file = tmp_path / "u0.json"
+        u0_file.write_text(json.dumps(u0))
+        argv = [*argv, "--u0", str(u0_file)]
+    assert main([argv[0], scalar_problem, *argv[1:]]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
