@@ -26,7 +26,7 @@ def main():
     print("  closed-range constant:  %.6f (= sqrt(3)/2 on this grid)" % frames.sigma_min_pos)
 
     s = sc.build_maxwell_system(spec, eps=1.0, mu=1.0, sigma=1.0)
-    audit = sc.audit_system(s, samples=401)
+    audit = sc.audit_system(s)
     assert all(audit.checks.values()), audit.checks
     cert = audit.certificate
     print("\nunit-conductivity system (%d x %d generator):" % (2 * n, 2 * n))

@@ -6,11 +6,12 @@ call single steps of the chain.  Problem and report files are JSON with
 complex numbers stored as two-element [re, im] arrays and a
 ``schema_version`` gate.  Reports embed the exact formula strings behind
 every certified constant and the seed used for any randomized initial
-data, so identical inputs produce byte-identical numeric fields.
+data, so identical inputs produce byte-identical numeric fields at a fixed
+BLAS thread count (another thread count may move the last digits).
 
 Exit codes: 0 when every recorded verdict passes, 2 when any verdict
-fails, 1 on malformed or invalid input (with a single-line JSON error on
-stderr).
+fails, 1 on malformed or invalid input, usage errors included (with a
+single-line JSON error on stderr).
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def _certificate_summary(cert) -> dict:
 
 def _cmd_certify(args) -> int:
     system = load_problem(args.problem)
-    audit = audit_system(system, seed=args.seed, t_end=args.t_end, samples=args.samples,
-                         lambda_max=args.lambda_max, points=args.points)
+    audit = audit_system(system, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "certificate": _certificate_summary(audit.certificate),
@@ -144,7 +144,7 @@ def _cmd_certify(args) -> int:
         "sweeps": [_sweep_summary(s) for s in audit.sweeps],
         "trajectory": {
             "t_end": audit.trace.times[-1],
-            "samples": args.samples,
+            "samples": len(audit.trace.times),
             "seed": args.seed,
             "projection_residual": audit.projection_residual,
             "fitted_rate": audit.fitted_rate,
@@ -245,20 +245,23 @@ def _cmd_maxwell_gen(args) -> int:
 # Entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so that it exits 1, not 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabcert",
         description="Certify exponential decay of damped block systems and audit the constants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify", help="run the full certificate plus oracle audits")
+    p = sub.add_parser("certify", help="run the full certificate plus the fixed oracle audits")
     p.add_argument("problem")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--lambda-max", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=401)
-    p.add_argument("--t-end", type=float, default=20.0)
-    p.add_argument("--samples", type=int, default=801)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_certify)
 
@@ -298,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (StabcertError, ValueError, OSError, json.JSONDecodeError) as exc:
         line = json.dumps({"error": type(exc).__name__, "detail": str(exc)})

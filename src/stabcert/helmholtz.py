@@ -122,27 +122,16 @@ def decompose(C) -> HelmholtzFrames:
     C = as_complex_matrix(C, "C")
     n1, n0 = C.shape
 
-    if C.size == 0 or not np.any(C):
-        r = 0
-        iota0 = np.zeros((n0, 0), dtype=complex)
-        kappa0 = np.eye(n0, dtype=complex)
-        iota1 = np.zeros((n1, 0), dtype=complex)
-        kappa1 = np.eye(n1, dtype=complex)
-        sigma_min_pos = 0.0
-        C_tilde = np.zeros((0, 0), dtype=complex)
-        inv_norm = float("inf")
-    else:
-        U, s, Vh = np.linalg.svd(C)
-        cutoff = max(n0, n1) * _EPS * s[0]
-        r = int(np.count_nonzero(s >= cutoff))
-        V = Vh.conj().T
-        iota1 = U[:, :r]
-        kappa1 = U[:, r:]
-        iota0 = V[:, :r]
-        kappa0 = V[:, r:]
-        C_tilde = iota1.conj().T @ C @ iota0
-        sigma_min_pos = float(s[r - 1]) if r else 0.0
-        inv_norm = 1.0 / sigma_min_pos if r else float("inf")
+    U, s, Vh = np.linalg.svd(C)
+    r = int(np.count_nonzero(s >= max(n0, n1) * _EPS * s[0])) if s.size and s[0] > 0 else 0
+    V = Vh.conj().T
+    iota1 = U[:, :r]
+    kappa1 = U[:, r:]
+    iota0 = V[:, :r]
+    kappa0 = V[:, r:]
+    C_tilde = iota1.conj().T @ C @ iota0
+    sigma_min_pos = float(s[r - 1]) if r else 0.0
+    inv_norm = 1.0 / sigma_min_pos if r else float("inf")
 
     return HelmholtzFrames(
         iota0=iota0,

@@ -117,7 +117,10 @@ def assemble_generator(gamma, D) -> ComplexMatrix:
 
 
 def check_m_dissipative(B) -> DissipativityReport:
-    """Verify dissipativity of the quadratic form and invertibility of I - B."""
+    """Verify dissipativity of the quadratic form and invertibility of I - B.
+
+    I - B counts as singular under the rule of :func:`resolvent_norm`.
+    """
     B = as_complex_matrix(B, "B")
     if B.shape[0] != B.shape[1]:
         raise DimensionMismatch(f"B must be square, got {B.shape}")
@@ -125,10 +128,8 @@ def check_m_dissipative(B) -> DissipativityReport:
         return DissipativityReport(True, -math.inf, True)
     w = np.linalg.eigvalsh(0.5 * (B + B.conj().T))
     max_re = float(w[-1])
-    shifted = np.eye(B.shape[0]) - B
-    s = np.linalg.svd(shifted, compute_uv=False)
-    shifted_invertible = bool(s[-1] > 1e-12 * s[0])
-    return DissipativityReport(max_re <= 1e-12, max_re, shifted_invertible)
+    _, singular = _resolvent_norms(B, [1.0])
+    return DissipativityReport(max_re <= 1e-12, max_re, not singular[0])
 
 
 # Bytes of one stack of shifted matrices z I - B handed to the batched SVD:

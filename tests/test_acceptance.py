@@ -233,9 +233,7 @@ def test_criterion_8_maxwell_grid():
     assert abs(sc.fit_decay_rate(trace0)) <= 1e-8
 
     # Unit-conductivity run: certified and audited end to end.
-    report = sc.audit_system(
-        sc.build_maxwell_system(spec, eps=1.0, mu=1.0, sigma=1.0), samples=401
-    )
+    report = sc.audit_system(sc.build_maxwell_system(spec, eps=1.0, mu=1.0, sigma=1.0))
     assert all(report.checks.values())
     cert = report.certificate
     assert cert.delta_cert > 0

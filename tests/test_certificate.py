@@ -424,6 +424,10 @@ class TestFullCertificate:
         assert abscissa <= -cert.delta_cert
 
 
+# Restricted generator with spectral abscissa -3.
+_FAST_DECAY = ([[1.0]], [[2.0, 1.0], [1.0, 2.0]], [[6.0]], [[20.0], [20.0]])
+
+
 class TestPrepare:
     def test_audit_size_guard(self):
         # m = n0 + rank = 660 is above the 640 rows the dense audit can finish;
@@ -492,12 +496,25 @@ class TestPrepare:
         bound = cert.M_total * np.exp(-cert.delta_cert * trace.times)
         assert np.all(trace.state_norms <= bound)
 
+    @pytest.mark.parametrize(
+        "system, t_end",
+        [
+            (([[1.0]], [[1.0]], [[1.0]], [[1.0]]), 20.0),  # abscissa -1/2
+            (_FAST_DECAY, 10.0),  # abscissa -3: 30 / 3
+        ],
+    )
+    def test_audit_recipe(self, system, t_end):
+        audit = sc.audit_system(sc.validate_system(*system))
+        for sweep in audit.sweeps:
+            assert len(sweep.lambdas) == 401 and sweep.lambdas[-1] == 50.0
+        assert len(audit.trace.times) == 801
+        assert audit.trace.times[-1] == pytest.approx(t_end, rel=1e-12)
+
     def test_fast_decay_fits_above_the_rounding_floor(self):
         # Spectral abscissa -3: by t = 50/3 the trajectory sits on the
         # rounding-level ker(D*) part of the start (about 3e-16), which never
         # decays, and the fit flattened to 1.10 against delta_cert = 1.11.
-        s = sc.validate_system([[1.0]], [[2.0, 1.0], [1.0, 2.0]], [[6.0]], [[20.0], [20.0]])
-        audit = sc.audit_system(s, seed=0)
+        audit = sc.audit_system(sc.validate_system(*_FAST_DECAY), seed=0)
         assert audit.abscissa == pytest.approx(-3.0)
         assert audit.fitted_rate == pytest.approx(3.0, rel=1e-3)
         assert all(audit.checks.values())

@@ -34,7 +34,7 @@ def test_maxwell_gen_then_certify(tmp_path):
     report = tmp_path / "r.json"
     assert main(["maxwell-gen", "--n", "3", "--eps", "1", "--mu", "1", "--sigma", "1",
                  "-o", str(problem)]) == 0
-    code = main(["certify", str(problem), "-o", str(report), "--samples", "401"])
+    code = main(["certify", str(problem), "-o", str(report)])
     assert code == 0
     data = json.loads(report.read_text())
     assert data["certificate"]["delta_cert"] > 0
@@ -167,16 +167,25 @@ def test_tolerances_key_is_refused(tmp_path, capsys, tolerances):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certify", "--lambda-max", "0"],
-        ["certify", "--lambda-max", "-5"],
+        ["sweep", "--abscissa", "0", "--lambda-max", "0", "--points", "11"],
+        ["sweep", "--abscissa", "0", "--lambda-max", "-5", "--points", "11"],
         ["sweep", "--abscissa", "nan", "--lambda-max", "10", "--points", "11"],
     ],
 )
 def test_invalid_sweep_range_is_refused(scalar_problem, capsys, argv):
-    # lambda_max = 0 sweeps z = 0 401 times and reports it bounded, a
+    # lambda_max = 0 sweeps z = 0 11 times and reports it bounded, a
     # negative one reverses the grid, and a nan abscissa breaks the SVD.
     assert main([argv[0], scalar_problem, *argv[1:]]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+
+
+@pytest.mark.parametrize("flag", ["--lambda-max", "--points", "--t-end", "--samples"])
+def test_certify_has_one_recipe(scalar_problem, capsys, flag):
+    # The oracle settings are fixed; sweep and simulate take custom ones.
+    assert main(["certify", scalar_problem, flag, "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert flag in json.loads(err)["detail"]
 
 
 def test_weak_coupling_is_not_certified(tmp_path, capsys):
@@ -194,8 +203,8 @@ def test_certify_reports_are_deterministic(tmp_path):
         tmp_path / "p.json", np.eye(2), np.eye(1), np.eye(2), [[1.0, 0.0]]
     )
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["certify", problem, "-o", str(r1), "--samples", "301"]) == 0
-    assert main(["certify", problem, "-o", str(r2), "--samples", "301"]) == 0
+    assert main(["certify", problem, "-o", str(r1)]) == 0
+    assert main(["certify", problem, "-o", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
 
@@ -215,7 +224,7 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
             for attr, value in list(vars(m).items()):
                 if value is fn:
                     monkeypatch.setattr(m, attr, counted)
-    assert main(["certify", problem, "-o", str(tmp_path / "r.json"), "--samples", "301"]) == 0
+    assert main(["certify", problem, "-o", str(tmp_path / "r.json")]) == 0
     # decompose runs on D only; the admissible start reuses its frames.
     assert calls == {
         "normalize_system": 1, "decompose": 1, "restricted_generator": 1, "spectral_abscissa": 1,

@@ -28,11 +28,15 @@ class TestDecompose:
         assert np.allclose(fr.iota1 @ fr.iota1.conj().T, e1 @ e1.T, atol=1e-12)
 
     def test_zero_matrix(self):
-        fr = sc.decompose(np.zeros((2, 2)))
-        assert fr.r == 0
-        assert fr.C_tilde.shape == (0, 0)
-        assert fr.sigma_min_pos == 0.0
-        assert np.allclose(fr.kappa0.conj().T @ fr.kappa0, np.eye(2), atol=1e-14)
+        for n1, n0 in [(2, 2), (0, 3), (3, 0), (0, 0)]:
+            fr = sc.decompose(np.zeros((n1, n0)))
+            assert fr.r == 0
+            assert fr.C_tilde.shape == (0, 0)
+            assert fr.sigma_min_pos == 0.0
+            assert fr.C_tilde_inv_norm == np.inf
+            assert fr.iota0.shape == (n0, 0) and fr.iota1.shape == (n1, 0)
+            assert np.allclose(fr.kappa0.conj().T @ fr.kappa0, np.eye(n0), atol=1e-14)
+            assert np.allclose(fr.kappa1.conj().T @ fr.kappa1, np.eye(n1), atol=1e-14)
 
     def test_rank_two_reconstruction(self):
         rng = np.random.default_rng(13)

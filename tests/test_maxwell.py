@@ -100,7 +100,7 @@ class TestStructure:
 
 class TestMaxwellReport:
     def test_unit_material_report(self):
-        rep = sc.audit_system(sc.build_maxwell_system(sc.GridSpec(N=3)), samples=401)
+        rep = sc.audit_system(sc.build_maxwell_system(sc.GridSpec(N=3)))
         cert = rep.certificate
         assert cert.delta_cert > 0
         assert rep.fitted_rate >= cert.delta_cert - 1e-6
