@@ -71,11 +71,13 @@ def main():
     print("\noracles:")
     print("  spectral abscissa (restricted generator):  %.5f  -> sharp rate %.5f"
           % (audit.abscissa, -audit.abscissa))
-    for sweep in audit.sweeps:
-        print("  sweep at Re z = %+.5f: max norm %.3f (bound %.2f), %d singular"
-              % (sweep.abscissa, sweep.max_norm, cert.M_total, sweep.n_singular))
-    print("\nsound: %s (certified rate below sharp rate, sweeps below bound)"
-          % audit.checks["spectral_abscissa_sound"])
+    cover = audit.cover
+    print("  resolvent cover of Re z >= %+.5f, rectangle [%.3g, %.3g] x [-%.3f, %.3f]:"
+          % (-cover.a, *cover.re_range, cover.im_range[1], cover.im_range[1]))
+    print("    %d evaluations, largest enclosure %.3f (bound %.2f), passed: %s"
+          % (cover.evaluations, cover.max_enclosure, cert.M_total, cover.passed))
+    print("\nsound: %s (certified rate below sharp rate, resolvent covered below bound)"
+          % (audit.checks["spectral_abscissa_sound"] and cover.passed))
 
 
 if __name__ == "__main__":

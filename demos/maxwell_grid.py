@@ -35,9 +35,10 @@ def main():
     print("  fitted decay rate:      %.5f" % audit.fitted_rate)
     print("  projection residual of the random initial state: %.3f"
           % audit.projection_residual)
-    for sweep in audit.sweeps:
-        print("  sweep at Re z = %+.5f: max %.3f, singular points: %d"
-              % (sweep.abscissa, sweep.max_norm, sweep.n_singular))
+    cover = audit.cover
+    print("  resolvent cover of Re z >= %+.5f: %d evaluations, largest enclosure %.3f"
+          " (bound %.1f), passed: %s"
+          % (-cover.a, cover.evaluations, cover.max_enclosure, cert.M_total, cover.passed))
 
     # The inadmissible part of the state is frozen: start inside ker(curl*).
     rng = np.random.default_rng(5)

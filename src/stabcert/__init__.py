@@ -8,7 +8,7 @@ The package certifies decay of finite-dimensional evolution systems
 through a constructive chain (weight normalization, Helmholtz-type
 range/kernel splitting, Schur-complement decoupling, shifted-variable
 resolvent bounds) and audits every certified constant against independent
-spectral, resolvent-sweep, and time-domain oracles.
+spectral, resolvent-cover, and time-domain oracles.
 """
 
 from .errors import (

@@ -53,14 +53,14 @@ from .model import BlockSystem, ComplexMatrix, operator_norm
 from .normalize import NormalizedSystem, normalize_system
 from .helmholtz import HelmholtzFrames, decompose, restricted_generator
 from .verify import (
-    ResolventSweepReport,
+    CoverReport,
     TrajectoryTrace,
-    _resolvent_norms,
+    _neumann_squares,
     admissible_start,
     assemble_generator,
     fit_decay_rate,
-    gp_sweep,
     random_components,
+    resolvent_cover,
     simulate,
     spectral_abscissa,
 )
@@ -186,14 +186,14 @@ class PreparedProblem:
 class SystemAudit:
     """A certificate together with the independent oracles that check it.
 
-    ``sweeps`` are the resolvent sweeps at Re z = 0 and -delta_cert/2,
-    ``trace`` the trajectory of a random admissible start, and ``checks``
-    the verdict of each comparison between certificate and oracle.
+    ``cover`` is the resolvent cover of Re z >= -delta_cert/2 against
+    M_total, ``trace`` the trajectory of a random admissible start, and
+    ``checks`` the verdict of each comparison between certificate and oracle.
     """
 
     certificate: StabilityCertificate
     abscissa: float
-    sweeps: tuple[ResolventSweepReport, ResolventSweepReport]
+    cover: CoverReport
     trace: TrajectoryTrace
     fitted_rate: float
     projection_residual: float
@@ -329,37 +329,25 @@ def _small_frequency_audit(
     """Halve the claimed abscissa until a Neumann cover of the disk segment passes.
 
     The interior bound covers |z| >= im_half = 2 delta*, leaving the segment
-    S = {Re z >= -delta, |z| <= im_half}.  By the Neumann series, ||R(z0)|| = rho
-    and |z - z0| <= r < 1/rho give ||R(z)|| <= rho / (1 - rho r) (Trefethen
-    and Embree, *Spectra and Pseudospectra*, 2005).  From the square of side
-    2 im_half with left edge Re z = -delta, a square is covered when its centre
-    norm (dense SVD, never the sweeps' Lanczos lower bounds) gives an enclosure
-    over its half-diagonal within ``M_total``; any other splits in four, and
-    the quarters that meet the disk go on.  A singular centre, one above
-    ``M_total`` or more than _AUDIT_EVALS evaluations end the pass and halve
-    delta.  A passed cover proves S free of spectrum with norm at most the
-    largest enclosure, up to the rounding of the centre norms.
+    S = {Re z >= -delta, |z| <= im_half}.  The cover starts from the square of
+    side 2 im_half with left edge Re z = -delta, and the squares that meet the
+    disk are refined as in :func:`~stabcert.verify._neumann_squares`, within
+    ``M_total`` and _AUDIT_EVALS evaluations; a cover that does not finish
+    halves delta.  A passed cover proves S free of spectrum with norm at most
+    the largest enclosure, up to the rounding of the centre norms.
     """
-    corners = 0.5 * np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
+
+    def meets_disk(kids, side):
+        return np.hypot(*np.maximum(np.abs([kids.real, kids.imag]) - 0.5 * side, 0.0)) <= im_half
+
     for halvings, delta in enumerate([delta * 0.5**k for k in range(21)]):
-        side, evals, largest, enclosed = 2.0 * im_half, 0, 0.0, []
         centres = np.array([im_half - delta + 0j])  # covers S since delta < im_half
-        while centres.size and evals + centres.size <= _AUDIT_EVALS:
-            evals += centres.size
-            rho = _resolvent_norms(B_res, centres)[0]  # +inf at a singular centre
-            largest = max(largest, float(rho.max()))
-            if largest > M_total:
-                break
-            slack = 1.0 - rho * side / math.sqrt(2.0)
-            enclosure = np.divide(rho, slack, out=np.full_like(rho, math.inf), where=slack > 0)
-            enclosed.extend(enclosure[enclosure <= M_total].tolist())
-            side *= 0.5
-            kids = (centres[enclosure > M_total, None] + side * corners).ravel()
-            gap = np.hypot(*np.maximum(np.abs([kids.real, kids.imag]) - 0.5 * side, 0.0))
-            centres = kids[gap <= im_half]
-        if not centres.size:
+        passed, evals, largest, enclosure = _neumann_squares(
+            B_res, centres, 2.0 * im_half, M_total, meets_disk, _AUDIT_EVALS
+        )
+        if passed:
             return delta, AuditRecord(
-                passed=True, halvings=halvings, max_resolvent_norm=max(enclosed), singular_hits=0,
+                passed=True, halvings=halvings, max_resolvent_norm=enclosure, singular_hits=0,
                 re_range=(-delta, im_half), im_range=(-im_half, im_half), grid_shape=(1, evals),
             )
     raise CertificateFailure(
@@ -370,9 +358,10 @@ def _small_frequency_audit(
 
 _AUDIT_EVALS = 128  # dense resolvent evaluations per pass of the small-frequency cover
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
-# takes a few dense m x m SVDs; the two oracle sweeps take 2*401 more unless
-# inverse Lanczos converges within m // 8 steps.  With per-cell materials it does
-# not, and N = 5 (m = 623, admitted) takes two minutes; N = 6 (m = 1064) is refused.
+# and the oracle cover take dense m x m SVDs, a few dozen in practice: with
+# per-cell materials at N = 5 (m = 623, admitted) audit_system took 7.4 s on
+# 2 cores, 4.3 s of it in 29 cover evaluations.  A cover that runs into its cap
+# of 802 would take about two minutes there; N = 6 (m = 1064) is refused.
 _MAX_AUDIT_DIM = 640
 
 
@@ -415,6 +404,8 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
         If the coupling has rank zero while the second component space is
         nontrivial; its dynamics then have no damping path and no product-
         space decay certificate exists.
+    DegenerateProblem
+        If both component spaces are empty: there is nothing to certify.
     CertificateFailure
         If no Neumann cover of the small-frequency disk segment passes
         within M_total, even after halving the claimed abscissa twenty times.
@@ -427,6 +418,8 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
             "coupling operator has rank 0 but the second component space has "
             f"dimension {n1}; only the damped first-component block decays"
         )
+    if n0 == 0:
+        raise DegenerateProblem("both component spaces are empty; there is nothing to certify")
 
     c = ns.c_gamma_tilde
     g = operator_norm(ns.gamma_tilde)
@@ -482,18 +475,17 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     """Certify a system and check the certificate against every oracle.
 
     The oracles follow one fixed recipe: the spectral abscissa of the
-    restricted generator, its resolvent sweeps along Re z = 0 and
-    -delta_cert/2 (401 frequencies in [-50, 50]), and the decay rate fitted
-    to an 801-sample trajectory of a random admissible start drawn from
-    ``seed``.  ``checks`` holds one verdict per comparison.
+    restricted generator, a cover proving its resolvent norm at most
+    M_total (relative slack 1e-6) on Re z >= -delta_cert/2, which holds
+    both lines the sweep verdicts name, and the decay rate fitted to an
+    801-sample trajectory of a random admissible start drawn from ``seed``.
+    ``checks`` holds one verdict per comparison.
     """
     prep = prepare(sys)
     ns = prep.normalized
     cert = full_certificate(prep)
     abscissa = spectral_abscissa(prep.B_res)
-    sweeps = tuple(
-        gp_sweep(prep.B_res, a, 50.0, 401) for a in (0.0, -cert.delta_cert / 2.0)
-    )
+    cover = resolvent_cover(prep.B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
 
     u0, v_raw = random_components(seed, sys.n0, sys.n1)
     U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
@@ -505,14 +497,12 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     trace = simulate(assemble_generator(ns.gamma_tilde, ns.D), U0, t_end, 801)
     fitted = fit_decay_rate(trace)
 
-    bound = cert.M_total * (1.0 + 1e-6)
-    at_zero, at_half = (s.n_singular == 0 and s.max_norm <= bound for s in sweeps)
     norms = trace.state_norms
     checks = {
         "audit_passed": bool(cert.audit.passed),
         "spectral_abscissa_sound": bool(abscissa <= -cert.delta_cert + 1e-9),
-        "sweep_at_zero_bounded": bool(at_zero),
-        "sweep_at_half_bounded": bool(at_half),
+        "sweep_at_zero_bounded": cover.passed,
+        "sweep_at_half_bounded": cover.passed,
         "decay_at_least_certified": bool(fitted >= cert.delta_cert - 1e-6),
         "norms_non_increasing": bool(
             np.all(np.diff(norms) <= 1e-10 * max(norms[0], 1.0))
@@ -521,7 +511,7 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     return SystemAudit(
         certificate=cert,
         abscissa=abscissa,
-        sweeps=sweeps,
+        cover=cover,
         trace=trace,
         fitted_rate=fitted,
         projection_residual=residual,

@@ -1,13 +1,14 @@
 """Command line driver: problem files in, report files out.
 
 This is the only module with I/O; ``certify`` serializes what
-:func:`stabcert.certificate.audit_system` returns, and the other commands
-call single steps of the chain.  Problem and report files are JSON with
-complex numbers stored as two-element [re, im] arrays and a
-``schema_version`` gate.  Reports embed the exact formula strings behind
-every certified constant and the seed used for any randomized initial
-data, so identical inputs produce byte-identical numeric fields at a fixed
-BLAS thread count (another thread count may move the last digits).
+:func:`stabcert.certificate.audit_system` returns, its resolvent cover as
+one ``cover`` record, and the other commands call single steps of the
+chain (``sweep`` samples one line, for diagnostics).  Problem and report
+files are JSON with complex numbers stored as two-element [re, im] arrays
+and a ``schema_version`` gate.  Reports embed the exact formula strings
+behind every certified constant and the seed used for any randomized
+initial data, so identical inputs produce byte-identical numeric fields at
+a fixed BLAS thread count (another thread count may move the last digits).
 
 Exit codes: 0 when every recorded verdict passes, 2 when any verdict
 fails, 1 on malformed or invalid input, usage errors included (with a
@@ -141,7 +142,7 @@ def _cmd_certify(args) -> int:
             "spectral_abscissa_restricted": audit.abscissa,
             "fitted_decay_rate": audit.fitted_rate,
         },
-        "sweeps": [_sweep_summary(s) for s in audit.sweeps],
+        "cover": dataclasses.asdict(audit.cover),
         "trajectory": {
             "t_end": audit.trace.times[-1],
             "samples": len(audit.trace.times),
@@ -245,6 +246,13 @@ def _cmd_maxwell_gen(args) -> int:
 # Entry point
 
 
+def _seed(text: str) -> int:
+    """A random seed: numpy's generators take only non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ValueError, so that it exits 1, not 2."""
 
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the full certificate plus the fixed oracle audits")
     p.add_argument("problem")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("sweep", help="resolvent norms along a vertical line")
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--u0", default=None, help="JSON file with [re, im] pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_simulate)
 

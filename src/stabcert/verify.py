@@ -6,12 +6,10 @@ dense eigensolve, trajectories from the matrix exponential, and decay
 rates from a log-linear fit.  These are the oracles the certified
 constants are checked against.
 
-Resolvent sweeps take the smallest singular value from inverse Lanczos on
-the complex Schur form where that converges in a few steps (EigTool's
-method; Wright and Trefethen, SIAM J. Sci. Comput. 23, 2001), and from a
-dense SVD everywhere else.  Lanczos Ritz values bound the norm from below,
-the lenient direction: acceptable for an oracle, so the certificate's own
-audit uses the dense SVD only.
+Every resolvent norm is one dense SVD, :func:`_resolvent_norms`.  The
+resolvent oracle of the certificate is :func:`resolvent_cover`, a
+Neumann-series cover of a whole half-plane; :func:`gp_sweep` samples one
+vertical line, for diagnostics.
 """
 
 from __future__ import annotations
@@ -39,11 +37,13 @@ from .helmholtz import HelmholtzFrames, decompose
 
 __all__ = [
     "ResolventSweepReport",
+    "CoverReport",
     "TrajectoryTrace",
     "DissipativityReport",
     "assemble_generator",
     "check_m_dissipative",
     "resolvent_norm",
+    "resolvent_cover",
     "gp_sweep",
     "spectral_abscissa",
     "simulate",
@@ -69,6 +69,26 @@ class ResolventSweepReport:
     @property
     def n_singular(self) -> int:
         return int(self.singular_points.size)
+
+
+@dataclass(frozen=True)
+class CoverReport:
+    """Outcome of :func:`resolvent_cover` on the half-plane Re z >= -a.
+
+    ``re_range`` x ``im_range`` is the rectangle the squares cover, ``h``
+    the largest eigenvalue of the Hermitian part of B, ``evaluations`` the
+    dense resolvent norms spent, and ``max_enclosure`` the largest enclosure
+    of a covered square (0.0 when no square is covered).
+    """
+
+    a: float
+    bound: float
+    h: float
+    re_range: tuple[float, float]
+    im_range: tuple[float, float]
+    evaluations: int
+    max_enclosure: float
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -181,93 +201,77 @@ def resolvent_norm(B, z) -> float:
     return float(norms[0])
 
 
-def _lanczos_top(apply, m: int, count: int, steps: int) -> np.ndarray:
-    """Largest eigenvalues of ``count`` Hermitian positive definite m x m operators.
+def _neumann_squares(B, centres, side, bound, meets, cap) -> tuple[bool, int, float, float]:
+    """Cover squares of side ``side`` at ``centres`` by Neumann enclosures.
 
-    ``apply(V, idx)`` applies the operators listed in the index array ``idx``
-    to the matching columns of the m x len(idx) array ``V``.  All operators
-    run Lanczos in step from one fixed start vector, with full
-    reorthogonalization in two passes.  An operator leaves the batch when
-    its Ritz value theta has (residual / theta)**2 <= 1e-14; theta is then a
-    lower bound of the eigenvalue.  Entries not accepted within ``steps``
-    steps, or whose step overflows, are nan.
+    By the Neumann series, ||R(z0)|| = rho and |z - z0| <= r < 1/rho give
+    ||R(z)|| <= rho / (1 - rho r) (Trefethen and Embree, *Spectra and
+    Pseudospectra*, 2005).  The squares are evaluated level by level with the
+    dense SVD.  A square whose enclosure over its half-diagonal is within
+    ``bound`` is covered; any other splits in four, and the quarters for
+    which ``meets(kids, side)`` holds go on.  A singular centre, a centre
+    norm above ``bound``, or a level that would take the evaluations past
+    ``cap`` leaves the cover unfinished.
+
+    Returns ``(passed, evaluations, largest centre norm, largest enclosure
+    of a covered square)``.  A passed cover proves every square free of
+    spectrum with norm at most that enclosure, up to the rounding of the
+    centre norms.
     """
-    theta = np.full(count, math.nan)
-    idx = np.arange(count)
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    Q = np.repeat((q / np.linalg.norm(q))[None, :, None], count, axis=2)
-    alphas, betas = np.empty((count, 0)), np.empty((count, 0))
-    for k in range(steps):
-        w = apply(Q[-1], idx)
-        alphas = np.column_stack([alphas, np.einsum("ij,ij->j", Q[-1].conj(), w).real])
-        for _ in range(2):
-            w -= np.einsum("kij,kj->ij", Q, np.einsum("kij,ij->kj", Q.conj(), w))
-        beta = np.linalg.norm(w, axis=0)
-        tri = np.zeros((idx.size, k + 1, k + 1))
-        r = np.arange(k + 1)
-        tri[:, r, r] = alphas
-        tri[:, r[:-1], r[1:]] = tri[:, r[1:], r[:-1]] = betas
-        ritz, vecs = np.linalg.eigh(tri)
-        top = ritz[:, -1]
-        done = (beta * np.abs(vecs[:, -1, -1])) ** 2 <= 1e-14 * top**2
-        theta[idx[done]] = top[done]
-        keep = ~done & np.isfinite(top)
-        if not keep.any():
+    corners = 0.5 * np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
+    evals, largest, enclosed = 0, 0.0, []
+    while centres.size and evals + centres.size <= cap:
+        evals += centres.size
+        rho = _resolvent_norms(B, centres)[0]  # +inf at a singular centre
+        largest = max(largest, float(rho.max()))
+        if largest > bound:
             break
-        idx, w, beta = idx[keep], w[:, keep], beta[keep]
-        alphas, betas = alphas[keep], np.column_stack([betas[keep], beta])
-        Q = np.concatenate([Q[:, :, keep], (w / beta)[None]])
-    return theta
+        slack = 1.0 - rho * side / math.sqrt(2.0)
+        enclosure = np.divide(rho, slack, out=np.full_like(rho, math.inf), where=slack > 0)
+        enclosed.extend(enclosure[enclosure <= bound].tolist())
+        side *= 0.5
+        kids = (centres[enclosure > bound, None] + side * corners).ravel()
+        centres = kids[meets(kids, side)]
+    return not centres.size, evals, largest, max(enclosed, default=0.0)
 
 
-def _sweep_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_resolvent_norms` for the points of a sweep, by inverse Lanczos where it pays.
+_COVER_EVALS = 802  # dense evaluations a cover may spend: those of two 401-point sweeps
 
-    With a budget of m // 8 steps, inverse Lanczos on (z - B)^-* (z - B)^-1
-    first runs at the point of largest |z| with an explicit inverse.  Only if
-    it converges there is the complex Schur form T of B computed, once; every
-    point then runs in one batch whose steps are two triangular solves with
-    z - T.  Ritz values are lower bounds of the norm.  A point goes to the
-    dense SVD when it does not converge within the budget, or when its
-    sigma_min, or its distance to an eigenvalue of B, is at most
-    1e-10 (|z| + ||B||_F); the dense rule alone then decides singularity.
+
+def resolvent_cover(B, a: float, bound: float) -> CoverReport:
+    """Prove ||(z - B)^-1|| <= bound on the whole half-plane Re z >= -a.
+
+    Let h be the largest eigenvalue of the Hermitian part of B and
+    R = sqrt(||B||_1 ||B||_inf) + 1/bound; the square root bounds ||B||.
+    Outside the rectangle [-a, h + 1/bound] x [-R, R] two closed-form
+    bounds hold, each at most ``bound``: ||R(z)|| <= 1/(Re z - h) by
+    dissipativity, and ||R(z)|| <= 1/(|z| - ||B||) by the Neumann series.
+    The rectangle is covered by a row of squares of side
+    max(width, min(2R, 0.5)) whose left edge is Re z = -a, refined as in
+    :func:`_neumann_squares` with at most _COVER_EVALS dense evaluations;
+    when h + 1/bound < -a the rectangle is empty and needs none.  A cover
+    that does not finish returns ``passed`` false instead of raising.
     """
-    m = B.shape[0]
-    steps = m // 8
-    if steps == 0:
-        return _resolvent_norms(B, zs)
-    z0 = zs[np.argmax(np.abs(zs))]
-    try:
-        R0 = np.linalg.inv(z0 * np.eye(m) - B)
-    except np.linalg.LinAlgError:
-        return _resolvent_norms(B, zs)
-    if math.isnan(_lanczos_top(lambda V, idx: R0.conj().T @ (R0 @ V), m, 1, steps)[0]):
-        return _resolvent_norms(B, zs)
-    T, _, eigs, _, _, info = scipy.linalg.lapack.zgees(lambda x: 0, B, compute_v=0)
-    if info != 0:
-        return _resolvent_norms(B, zs)
-    TH = np.ascontiguousarray(T.conj().T)
+    if not (math.isfinite(a) and 0 < bound < math.inf):
+        raise ParameterOutOfRange(f"need a finite a and a finite positive bound, got {a!r}, {bound!r}")
+    h = check_m_dissipative(B).max_re_quadratic
+    B = as_complex_matrix(B, "B")
+    R = (math.sqrt(np.linalg.norm(B, 1) * np.linalg.norm(B, np.inf)) if B.size else 0.0) + 1.0 / bound
+    x0, x1 = -a, h + 1.0 / bound
+    side = max(x1 - x0, min(2.0 * R, 0.5))
+    n = math.ceil(2.0 * R / side)
+    centres = x0 + 0.5 * side + 1j * side * (np.arange(n) - 0.5 * (n - 1))
 
-    tol = 1e-10 * (np.abs(zs) + np.linalg.norm(B))
-    run = np.flatnonzero(np.abs(zs[:, None] - eigs).min(axis=1) > tol)
-    shifts = zs[run] - eigs[:, None]
+    def meets(kids, side):
+        return (kids.real - 0.5 * side <= x1) & (np.abs(kids.imag) - 0.5 * side <= R)
 
-    def apply(V, idx):
-        d = shifts[:, idx]
-        x = np.empty_like(V)
-        for i in range(m - 1, -1, -1):
-            x[i] = (V[i] + T[i, i + 1:] @ x[i + 1:]) / d[i]
-        for i in range(m):
-            x[i] = (x[i] + TH[i, :i] @ x[:i]) / d[i].conj()
-        return x
-
-    norms = np.full(zs.shape, math.nan)
-    norms[run] = np.sqrt(_lanczos_top(apply, m, run.size, steps))
-    redo = ~(1.0 / norms > tol)
-    singular = np.zeros(zs.shape, dtype=bool)
-    norms[redo], singular[redo] = _resolvent_norms(B, zs[redo])
-    return norms, singular
+    passed, evals, _, enclosure = _neumann_squares(
+        B, centres[meets(centres, side)], side, bound, meets, _COVER_EVALS
+    )
+    return CoverReport(
+        a=float(a), bound=float(bound), h=h, re_range=(x0, x1), im_range=(-R, R),
+        evaluations=evals, max_enclosure=enclosure, passed=passed,
+    )
 
 
 def gp_sweep(B, abscissa: float, lambda_max: float, points: int) -> ResolventSweepReport:
@@ -276,13 +280,10 @@ def gp_sweep(B, abscissa: float, lambda_max: float, points: int) -> ResolventSwe
     The grid is symmetric in the imaginary part and always contains
     lambda = 0 (even point counts are bumped to the next odd number).
     Singular frequencies are recorded in the report instead of aborting
-    the sweep; the corresponding norm entries are +inf.
-
-    Norms come from :func:`_sweep_norms`: inverse Lanczos Ritz values where
-    they converge within a few steps, which bound the norm from below (the
-    lenient direction, acceptable for an oracle but not for a certificate),
-    and the dense SVD everywhere else, points at or near the spectrum
-    included.
+    the sweep; the corresponding norm entries are +inf.  Every norm is a
+    dense SVD (:func:`_resolvent_norms`).  A sweep samples: it proves
+    nothing between or beyond its points, which :func:`resolvent_cover`
+    does.
     """
     B = as_complex_matrix(B, "B")
     if B.shape[0] != B.shape[1]:
@@ -296,7 +297,7 @@ def gp_sweep(B, abscissa: float, lambda_max: float, points: int) -> ResolventSwe
     if points % 2 == 0:
         points += 1
     lambdas = np.linspace(-lambda_max, lambda_max, points)
-    norms, singular = _sweep_norms(B, abscissa + 1j * lambdas)
+    norms, singular = _resolvent_norms(B, abscissa + 1j * lambdas)
     finite = norms[~singular]
     max_norm = float(finite.max()) if finite.size else math.inf
     return ResolventSweepReport(

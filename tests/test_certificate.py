@@ -14,7 +14,7 @@ from stabcert import (
     ZeroRangeOperator,
 )
 
-from stabcert import certificate
+from stabcert import certificate, verify
 from stabcert.certificate import _small_frequency_audit, prepare
 from stabcert.verify import _resolvent_norms, admissible_start, random_components
 
@@ -412,6 +412,13 @@ class TestFullCertificate:
         with pytest.raises(ZeroRangeOperator):
             sc.full_certificate(s)
 
+    def test_empty_system_is_refused(self):
+        # Its coercivity is +inf, so the chain would claim delta_cert = inf
+        # with M_total = 0 over an empty Neumann cover.
+        empty = np.zeros((0, 0))
+        with pytest.raises(DegenerateProblem):
+            sc.full_certificate(sc.validate_system(empty, empty, empty, empty))
+
     def test_kernel_only_certificate_without_second_component(self):
         gamma = np.array([[2.0, 0.3], [0.1, 1.5]])
         s = sc.validate_system(np.eye(2), np.zeros((0, 0)), gamma, np.zeros((0, 2)))
@@ -505,10 +512,34 @@ class TestPrepare:
     )
     def test_audit_recipe(self, system, t_end):
         audit = sc.audit_system(sc.validate_system(*system))
-        for sweep in audit.sweeps:
-            assert len(sweep.lambdas) == 401 and sweep.lambdas[-1] == 50.0
+        cert, cover = audit.certificate, audit.cover
+        assert cover.a == cert.delta_cert / 2.0 and cover.re_range[0] == -cover.a
+        assert cover.bound == cert.M_total * (1.0 + 1e-6)
+        assert cover.passed and 0 < cover.evaluations <= 802
         assert len(audit.trace.times) == 801
         assert audit.trace.times[-1] == pytest.approx(t_end, rel=1e-12)
+
+    def test_oracles_evaluate_few_resolvents(self, monkeypatch):
+        # On a per-cell N = 3 grid, where no scalar shortcut applies, the
+        # audit and the cover evaluate fewer than 100 resolvent norms in all;
+        # two 401-point sweeps took 802.
+        rng = np.random.default_rng(7)
+        s = sc.build_maxwell_system(
+            sc.GridSpec(N=3), eps=rng.uniform(1.0, 2.0, 27), sigma=rng.uniform(0.5, 1.5, 27)
+        )
+        points = []
+
+        def spy(B, zs):
+            points.append(np.asarray(zs).size)
+            return _resolvent_norms(B, zs)
+
+        for module in (certificate, verify):
+            for attr, value in list(vars(module).items()):
+                if value is _resolvent_norms:
+                    monkeypatch.setattr(module, attr, spy)
+        audit = sc.audit_system(s)
+        assert all(audit.checks.values())
+        assert 0 < sum(points) < 100
 
     def test_fast_decay_fits_above_the_rounding_floor(self):
         # Spectral abscissa -3: by t = 50/3 the trajectory sits on the

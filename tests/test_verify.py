@@ -17,7 +17,8 @@ from stabcert import (
     ZeroFrequency,
 )
 from stabcert import verify
-from stabcert.verify import _RESOLVENT_STACK_BYTES, _resolvent_norms, _sweep_norms
+from stabcert.certificate import prepare
+from stabcert.verify import _RESOLVENT_STACK_BYTES, _resolvent_norms
 
 from helpers import (
     assemble_shifted,
@@ -195,102 +196,107 @@ def _grid_generator(**materials):
     return sc.restricted_generator(ns.gamma_tilde, sc.decompose(ns.D))
 
 
-def _dense_points(monkeypatch):
-    """Spy on the dense fallback: the number of points handed to each call."""
-    sizes = []
-
-    def spy(B, zs):
-        sizes.append(np.asarray(zs).size)
-        return _resolvent_norms(B, zs)
-
-    monkeypatch.setattr(verify, "_resolvent_norms", spy)
-    return sizes
-
-
 class TestSweepEngine:
-    """The sweep engine against the dense SVD, :func:`_resolvent_norms`."""
-
-    def test_homogeneous_grid_takes_the_lanczos_path(self, monkeypatch):
-        B = _grid_generator()
-        dense = _dense_points(monkeypatch)
-        rep = sc.gp_sweep(B, 0.0, 50.0, 101)
-        assert sum(dense) == 0
-        norms, singular = _resolvent_norms(B, 1j * rep.lambdas)
-        assert rep.n_singular == 0 and not singular.any()
-        assert np.max(np.abs(rep.norms - norms) / norms) <= 1e-12
+    """gp_sweep's norms are the dense SVD's, :func:`_resolvent_norms`."""
 
     def test_per_cell_materials_take_the_dense_path_bit_for_bit(self):
         rng = np.random.default_rng(7)
         B = _grid_generator(eps=rng.uniform(1.0, 2.0, 27), sigma=rng.uniform(0.5, 1.5, 27))
-        zs = -0.01 + 1j * np.linspace(-50.0, 50.0, 41)
-        norms, singular = _sweep_norms(B, zs)
-        dense_norms, dense_singular = _resolvent_norms(B, zs)
-        assert np.array_equal(norms, dense_norms)
-        assert np.array_equal(singular, dense_singular)
-
-    def test_undamped_generator_keeps_the_dense_singular_points(self, monkeypatch):
-        B = sc.assemble_generator(0.0 * np.eye(8), np.eye(8))
-        dense = _dense_points(monkeypatch)
-        rep = sc.gp_sweep(B, 0.0, 2.0, 401)
-        assert 0 < sum(dense) < 401
-        norms, singular = _resolvent_norms(B, 1j * rep.lambdas)
-        assert np.isclose(rep.singular_points, [-1.0, 1.0]).all()
-        assert np.array_equal(rep.lambdas[singular], rep.singular_points)
-        ok = ~singular
-        assert np.max(np.abs(rep.norms[ok] - norms[ok]) / norms[ok]) <= 1e-12
-
-    def test_nonnormal_near_singular_point_follows_the_dense_rule(self, monkeypatch):
-        # A nilpotent Jordan block J_8 beside -I_72: at z = 1e-3 every
-        # eigenvalue is 1e-3 away, yet sigma_min(z - J_8) is about 1e-24.
-        # Lanczos converges there, and only its sigma_min sends the point
-        # to the dense SVD, which calls it singular.
-        B = np.zeros((80, 80), dtype=complex)
-        B[:72, :72] = -np.eye(72)
-        B[72:, 72:] = np.eye(8, k=1)
-        zs = 1e-3 + 1j * np.linspace(-2.0, 2.0, 41)
-        dense = _dense_points(monkeypatch)
-        norms, singular = _sweep_norms(B, zs)
-        assert dense == [1]
-        dense_norms, dense_singular = _resolvent_norms(B, zs)
-        assert np.array_equal(singular, dense_singular) and singular[20]
-        ok = ~singular
-        assert np.max(np.abs(norms[ok] - dense_norms[ok]) / dense_norms[ok]) <= 1e-12
+        rep = sc.gp_sweep(B, -0.01, 50.0, 41)
+        dense_norms, dense_singular = _resolvent_norms(B, -0.01 + 1j * rep.lambdas)
+        assert np.array_equal(rep.norms, dense_norms)
+        assert np.array_equal(rep.lambdas[dense_singular], rep.singular_points)
 
     def test_repeated_calls_are_bit_identical(self):
         B = _grid_generator()
-        zs = -0.01 + 1j * np.linspace(-50.0, 50.0, 41)
-        first, second = _sweep_norms(B, zs), _sweep_norms(B, zs)
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
+        first, second = sc.gp_sweep(B, -0.01, 50.0, 41), sc.gp_sweep(B, -0.01, 50.0, 41)
+        assert np.array_equal(first.norms, second.norms)
+        assert np.array_equal(first.singular_points, second.singular_points)
+
+
+def _claims():
+    """(name, B_res, certificate) of the scalar system, two N = 3 grids and the certified corpus."""
+    rng = np.random.default_rng(7)
+    systems = [
+        ("scalar", sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])),
+        ("grid", sc.build_maxwell_system(sc.GridSpec(N=3))),
+        ("per-cell grid", sc.build_maxwell_system(
+            sc.GridSpec(N=3), eps=rng.uniform(1.0, 2.0, 27), sigma=rng.uniform(0.5, 1.5, 27))),
+    ]
+    rng = np.random.default_rng(20260810)
+    for k in range(200):
+        n0, n1 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        r = int(rng.integers(0, min(n0, n1) + 1))
+        system = random_block_system(rng, n0, n1, r)
+        if r:
+            systems.append((f"corpus-{k}", system))
+    for name, system in systems:
+        prep = prepare(system)
+        yield name, prep.B_res, sc.full_certificate(prep)
+
+
+class TestResolventCover:
+    def test_true_claims_pass_and_wrong_claims_fail(self):
+        # A passed cover proves ||R(z)|| <= bound on all of Re z >= -a.  Half
+        # the largest norm sampled on Re z = 0 (over the rectangle's height),
+        # or a half-plane that holds an eigenvalue, makes that false, so the
+        # cover must fail.
+        count = 0
+        for name, B, cert in _claims():
+            a, bound = cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6)
+            cover = verify.resolvent_cover(B, a, bound)
+            assert cover.passed and cover.max_enclosure <= bound, name
+            low = 0.5 * sc.gp_sweep(B, 0.0, cover.im_range[1], 101).max_norm
+            assert not verify.resolvent_cover(B, a, low).passed, name
+            assert not verify.resolvent_cover(B, -2.0 * sc.spectral_abscissa(B), bound).passed, name
+            count += 1
+        assert count == 3 + 134
 
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n0=st.integers(8, 24),
-        n1=st.integers(8, 24),
-        distinct=st.integers(1, 3),
-        c=st.floats(0.05, 5.0),
-        abscissa=st.floats(0.05, 1.0),
-        lambda_max=st.floats(0.5, 50.0),
+        m=st.integers(1, 6),
+        skew=st.floats(0.0, 3.0),
+        a_share=st.floats(0.05, 1.5),
+        factor=st.floats(0.5, 4.0),
     )
-    def test_scalar_damping_matches_dense(self, seed, n0, n1, distinct, c, abscissa, lambda_max):
-        # Scalar damping and a coupling with few distinct singular values in
-        # random unitary frames: Lanczos converges within its budget on about
-        # a quarter of the draws, and every draw must agree with the dense
-        # SVD.  B is
-        # dissipative, so Re z >= 0.05 keeps sigma_min(z - B) >= 0.05, where
-        # the dense SVD itself is accurate to 1e-12 relative.
+    def test_a_passed_cover_bounds_every_point(self, seed, m, skew, a_share, factor):
+        # Dissipative B with Hermitian part in [-2, -0.05]; a up to 1.5 times
+        # the decay rate and a bound around the largest norm on Re z = -a, so
+        # that about half the covers fail.  Where one passes, dense norms at
+        # random points of the half-plane, |Im z| up to 3R, stay within it.
         rng = np.random.default_rng(seed)
-        r = int(rng.integers(1, min(n0, n1) + 1))
-        s = rng.choice(rng.uniform(0.1, 3.0, distinct), r)
-        D = haar_unitary(rng, n1)[:, :r] @ np.diag(s) @ haar_unitary(rng, n0)[:r, :]
-        B = sc.assemble_generator(c * np.eye(n0), D)
-        zs = abscissa + 1j * np.linspace(-lambda_max, lambda_max, 41)
-        norms, singular = _sweep_norms(B, zs)
-        dense_norms, dense_singular = _resolvent_norms(B, zs)
-        assert np.array_equal(singular, dense_singular)
-        ok = ~singular
-        assert np.all(np.abs(norms[ok] - dense_norms[ok]) <= 1e-12 * dense_norms[ok])
+        Q = haar_unitary(rng, m)
+        B = -Q @ np.diag(rng.uniform(0.05, 2.0, m)) @ Q.conj().T + random_skew(rng, m, skew)
+        a = a_share * -sc.spectral_abscissa(B)
+        peak = _resolvent_norms(B, -a + 1j * np.linspace(-10.0, 10.0, 81))[0].max()
+        if not np.isfinite(peak):
+            return
+        bound = factor * peak
+        cover = verify.resolvent_cover(B, a, bound)
+        if not cover.passed:
+            return
+        R = cover.im_range[1]
+        on_line = rng.random(400) < 0.2
+        zs = -a + np.where(on_line, 0.0, rng.exponential(R, 400)) + 1j * rng.uniform(-3 * R, 3 * R, 400)
+        norms, singular = _resolvent_norms(B, zs)
+        assert not singular.any()
+        assert norms.max() <= bound * (1.0 + 1e-9)
+
+    def test_capped_cover_fails_without_raising(self, monkeypatch):
+        # The wrong claim a = -2 * abscissa takes the uncapped cover 116
+        # evaluations; capped at 20, it stops after the first row of squares.
+        B = sc.assemble_generator([[1.0]], [[1.0]])
+        monkeypatch.setattr(verify, "_COVER_EVALS", 20)
+        cover = verify.resolvent_cover(B, -2.0 * sc.spectral_abscissa(B), 80.0)
+        assert not cover.passed
+        assert 0 < cover.evaluations <= 20
+
+    def test_empty_rectangle_needs_no_evaluation(self):
+        # Pure damping -I: Re z >= -0.1 lies right of h + 1/bound = -0.5.
+        cover = verify.resolvent_cover(-np.eye(3), 0.1, 2.0)
+        assert cover.passed and cover.evaluations == 0
+        assert cover.re_range == (-0.1, -0.5)
 
 
 class TestSpectralAbscissa:
