@@ -77,6 +77,7 @@ __all__ = [
     "invertible_certificate",
     "kernel_block_bound",
     "prepare",
+    "refuse_oversized",
     "full_certificate",
     "audit_system",
 ]
@@ -365,6 +366,16 @@ _AUDIT_EVALS = 128  # dense resolvent evaluations per pass of the small-frequenc
 _MAX_AUDIT_DIM = 640
 
 
+def refuse_oversized(n0: int) -> None:
+    """Raise GridTooLarge when n0 rows alone exceed the audit limit.
+
+    The restricted generator has at least n0 rows, so a problem file can be
+    refused from the row count of its ``alpha`` before any matrix is parsed.
+    """
+    if n0 > _MAX_AUDIT_DIM:
+        raise GridTooLarge(f"n0 = {n0} rows already exceed the audit limit {_MAX_AUDIT_DIM}")
+
+
 def prepare(sys: BlockSystem) -> PreparedProblem:
     """Normalize, decompose, and build the restricted generator once.
 
@@ -378,8 +389,7 @@ def prepare(sys: BlockSystem) -> PreparedProblem:
         If the restricted generator would have more than 640 rows, too many
         for the dense audit to finish.
     """
-    if sys.n0 > _MAX_AUDIT_DIM:  # m >= n0: refuse before normalizing
-        raise GridTooLarge(f"n0 = {sys.n0} rows already exceed the audit limit {_MAX_AUDIT_DIM}")
+    refuse_oversized(sys.n0)  # m >= n0: refuse before normalizing
     ns = normalize_system(sys)
     frames = decompose(ns.D)
     m = sys.n0 + frames.r

@@ -3,9 +3,12 @@
 This is the only module with I/O; ``certify`` serializes what
 :func:`stabcert.certificate.audit_system` returns, its resolvent cover as
 one ``cover`` record, and the other commands call single steps of the
-chain (``sweep`` samples one line, for diagnostics).  Problem and report
-files are JSON with complex numbers stored as two-element [re, im] arrays
-and a ``schema_version`` gate.  Reports embed the exact formula strings
+chain (``sweep`` samples one line, for diagnostics).  ``certify`` and
+``sweep`` load through :func:`load_problem`, which refuses a file too large
+to audit before parsing its matrices; ``simulate`` and ``reduce`` skip that
+guard and read files of any size.  Problem and report files are JSON with
+complex numbers stored as two-element [re, im] arrays and a
+``schema_version`` gate.  Reports embed the exact formula strings
 behind every certified constant and the seed used for any randomized
 initial data, so identical inputs produce byte-identical numeric fields at
 a fixed BLAS thread count (another thread count may move the last digits).
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -29,7 +33,7 @@ from .errors import StabcertError
 from .model import validate_system
 from .normalize import normalize_system
 from .helmholtz import decompose, decoupling_transforms
-from .certificate import FORMULAS, audit_system, prepare
+from .certificate import FORMULAS, audit_system, prepare, refuse_oversized
 from .maxwell import GridSpec, build_maxwell_system
 from .verify import (
     admissible_start,
@@ -49,7 +53,7 @@ SCHEMA_VERSION = 1
 
 def matrix_to_json(M) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def matrix_from_json(data, name: str) -> np.ndarray:
@@ -70,7 +74,8 @@ def _finite(x):
     return x if math.isfinite(x) else None
 
 
-def load_problem(path: str):
+def _read_problem(path: str) -> dict:
+    """The problem file's JSON object, after the checks that parse no matrix."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -83,12 +88,30 @@ def load_problem(path: str):
     key = "tolerances"
     if key in data:
         raise ValueError(f"problem file key {key!r} is no longer supported; remove it")
+    return data
+
+
+def _system_from(data: dict):
     matrices = {}
     for name in ("alpha", "beta", "gamma", "C"):
         if name not in data:
             raise ValueError(f"problem file is missing {name!r}")
         matrices[name] = matrix_from_json(data[name], name)
     return validate_system(matrices["alpha"], matrices["beta"], matrices["gamma"], matrices["C"])
+
+
+def load_problem(path: str):
+    """The validated system of a problem file that ``certify`` or ``sweep`` audits.
+
+    A file whose ``alpha`` has more rows than the audit admits is refused
+    right after it is read, before its matrices are converted and validated.
+    ``simulate`` and ``reduce`` bypass this loader on purpose: they read
+    through ``_read_problem`` and ``_system_from`` and take files of any size.
+    """
+    data = _read_problem(path)
+    if isinstance(data.get("alpha"), list):
+        refuse_oversized(len(data["alpha"]))
+    return _system_from(data)
 
 
 def dump_problem(system, path: str) -> None:
@@ -170,7 +193,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = load_problem(args.problem)
+    system = _system_from(_read_problem(args.problem))
     ns = normalize_system(system)
     n0, n1 = system.n0, system.n1
     if args.u0 is not None:
@@ -205,7 +228,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    system = load_problem(args.problem)
+    system = _system_from(_read_problem(args.problem))
     ns = normalize_system(system)
     frames = decompose(ns.D)
     try:
@@ -260,7 +283,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``stabcert`` parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="stabcert",
         description="Certify exponential decay of damped block systems and audit the constants.",

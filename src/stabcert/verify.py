@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateShift,
@@ -97,8 +96,9 @@ class TrajectoryTrace:
 
     ``method`` records which matrix-exponential path produced the samples:
     ``"eig"`` (diagonalization, used when the eigenvector basis is well
-    conditioned) or ``"pade"`` (scaling-and-squaring stepping).  The last
-    digits of the norms depend on this choice.
+    conditioned) or ``"pade"`` (stepping with ``scipy.linalg.expm``, the only
+    path that loads scipy).  The last digits of the norms depend on this
+    choice.
     """
 
     times: np.ndarray
@@ -146,10 +146,14 @@ def check_m_dissipative(B) -> DissipativityReport:
         raise DimensionMismatch(f"B must be square, got {B.shape}")
     if B.shape[0] == 0:
         return DissipativityReport(True, -math.inf, True)
-    w = np.linalg.eigvalsh(0.5 * (B + B.conj().T))
-    max_re = float(w[-1])
+    max_re = _max_hermitian_eig(B)
     _, singular = _resolvent_norms(B, [1.0])
     return DissipativityReport(max_re <= 1e-12, max_re, not singular[0])
+
+
+def _max_hermitian_eig(B) -> float:
+    """Largest eigenvalue of the Hermitian part of a nonempty square B."""
+    return float(np.linalg.eigvalsh(0.5 * (B + B.conj().T))[-1])
 
 
 # Bytes of one stack of shifted matrices z I - B handed to the batched SVD:
@@ -254,8 +258,10 @@ def resolvent_cover(B, a: float, bound: float) -> CoverReport:
     """
     if not (math.isfinite(a) and 0 < bound < math.inf):
         raise ParameterOutOfRange(f"need a finite a and a finite positive bound, got {a!r}, {bound!r}")
-    h = check_m_dissipative(B).max_re_quadratic
     B = as_complex_matrix(B, "B")
+    if B.shape[0] != B.shape[1]:
+        raise DimensionMismatch(f"B must be square, got {B.shape}")
+    h = _max_hermitian_eig(B) if B.size else -math.inf
     R = (math.sqrt(np.linalg.norm(B, 1) * np.linalg.norm(B, np.inf)) if B.size else 0.0) + 1.0 / bound
     x0, x1 = -a, h + 1.0 / bound
     side = max(x1 - x0, min(2.0 * R, 0.5))
@@ -320,7 +326,12 @@ def spectral_abscissa(B) -> float:
 
 
 def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
-    """Sample ||exp(t B) U0|| at equally spaced times in [0, t_end]."""
+    """Sample ||exp(t B) U0|| at equally spaced times in [0, t_end].
+
+    The eigendecomposition of B gives the samples when its eigenvector basis
+    is well conditioned (cond < 1e6); otherwise one Pade step
+    ``scipy.linalg.expm(B dt)`` is repeated, the only path that loads scipy.
+    """
     B = as_complex_matrix(B, "B")
     n = B.shape[0]
     if B.shape[1] != n:
@@ -358,6 +369,8 @@ def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
 
 
 def _pade_norms(B, U0, times) -> np.ndarray:
+    import scipy.linalg  # deferred: the package's one use of scipy, slow to import
+
     dt = times[1] - times[0]
     step = scipy.linalg.expm(B * dt)
     norms = np.empty(len(times))

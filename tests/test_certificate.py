@@ -521,8 +521,8 @@ class TestPrepare:
 
     def test_oracles_evaluate_few_resolvents(self, monkeypatch):
         # On a per-cell N = 3 grid, where no scalar shortcut applies, the
-        # audit and the cover evaluate fewer than 100 resolvent norms in all;
-        # two 401-point sweeps took 802.
+        # audit and the cover evaluate fewer than 100 resolvent norms in all
+        # (two 401-point sweeps took 802), and nothing else evaluates one.
         rng = np.random.default_rng(7)
         s = sc.build_maxwell_system(
             sc.GridSpec(N=3), eps=rng.uniform(1.0, 2.0, 27), sigma=rng.uniform(0.5, 1.5, 27)
@@ -540,6 +540,8 @@ class TestPrepare:
         audit = sc.audit_system(s)
         assert all(audit.checks.values())
         assert 0 < sum(points) < 100
+        assert audit.certificate.audit.halvings == 0
+        assert sum(points) == audit.cover.evaluations + audit.certificate.audit.grid_shape[1]
 
     def test_fast_decay_fits_above_the_rounding_floor(self):
         # Spectral abscissa -3: by t = 50/3 the trajectory sits on the

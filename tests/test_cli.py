@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -195,7 +197,7 @@ def test_negative_seed_is_refused_before_loading(scalar_problem, monkeypatch, ca
     # numpy's generators refuse a negative seed, but only after the problem
     # was loaded and, in certify, certified; the refusal did not name --seed.
     loads = []
-    monkeypatch.setattr(cli, "load_problem", lambda path: loads.append(path))
+    monkeypatch.setattr(cli, "_read_problem", lambda path: loads.append(path))
     assert main([argv[0], scalar_problem, *argv[1:], "--seed", "-1"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -252,6 +254,65 @@ def test_certify_refuses_oversized_audit(tmp_path, capsys):
     problem = _write_problem(tmp_path / "big.json", eye, eye, eye, eye)
     assert main(["certify", problem]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "GridTooLarge"
+
+
+@pytest.mark.parametrize("argv", [["certify"], ["sweep", "--abscissa", "0", "--lambda-max", "1", "--points", "3"]])
+def test_oversized_problem_is_refused_before_parsing(tmp_path, monkeypatch, capsys, argv):
+    # 641 rows of alpha exceed the audit limit; the other matrices are not
+    # even arrays, so any conversion or validation would fail differently.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema_version": 1, "alpha": [[]] * 641, "beta": [[1]],
+                                "gamma": "ragged", "C": [[[0, 0]], []]}))
+    calls = []
+    for name in ("matrix_from_json", "validate_system"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name: calls.append(_name))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GridTooLarge", "detail": "n0 = 641 rows already exceed the audit limit 640"}
+    assert calls == []
+
+
+def test_matrix_to_json_keeps_every_bit():
+    # The per-element formula it replaces, byte for byte: signed zeros,
+    # subnormals and the largest finite double included.
+    def per_element(M):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in M]
+
+    tiny = np.nextafter(0.0, 1.0)
+    M = np.array([[complex(-0.0, 0.0), complex(-0.0, -0.0), complex(tiny, -tiny)],
+                  [complex(1e-310, 2.5e-320), complex(np.finfo(float).max, -1 / 3), 1e300 - 7e-8j]])
+    for A in (M, M.T, M[:0], M[:, :0], np.eye(3), np.array([[1]])):
+        assert json.dumps(matrix_to_json(A)) == json.dumps(per_element(np.asarray(A, dtype=complex)))
+    assert json.dumps(matrix_to_json(M)).startswith("[[[-0.0, 0.0], [-0.0, -0.0], [5e-324, -5e-324]]")
+
+
+def test_certify_loads_no_scipy(scalar_problem, tmp_path):
+    # scipy serves only the Pade fallback of simulate, which certify on a
+    # diagonalizable generator never takes; importing scipy.linalg would
+    # cost more than the certify itself.
+    code = (
+        "import sys, stabcert\n"
+        "from stabcert import cli\n"
+        f"assert cli.main(['certify', {scalar_problem!r}, '-o', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(sc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cached_parser_keeps_no_state(scalar_problem, tmp_path):
+    # main parses with one parser per process; a --seed given to one call
+    # must not become the default of the next.
+    assert cli.build_parser() is cli.build_parser()
+    out = {name: tmp_path / f"{name}.json" for name in ("five", "default", "zero")}
+    assert main(["certify", scalar_problem, "--seed", "5", "-o", str(out["five"])]) == 0
+    assert main(["certify", scalar_problem, "-o", str(out["default"])]) == 0
+    assert main(["certify", scalar_problem, "--seed", "0", "-o", str(out["zero"])]) == 0
+    assert out["default"].read_bytes() == out["zero"].read_bytes()
+    assert json.loads(out["five"].read_text())["trajectory"]["seed"] == 5
 
 
 def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
