@@ -8,10 +8,13 @@ chain (``sweep`` samples one line, for diagnostics).  ``certify`` and
 to audit before parsing its matrices; ``simulate`` and ``reduce`` skip that
 guard and read files of any size.  Problem and report files are JSON with
 complex numbers stored as two-element [re, im] arrays and a
-``schema_version`` gate.  Reports embed the exact formula strings
-behind every certified constant and the seed used for any randomized
-initial data, so identical inputs produce byte-identical numeric fields at
-a fixed BLAS thread count (another thread count may move the last digits).
+``schema_version`` gate.  Problem files are written as one line of compact
+JSON, the fastest layout for json's encoder, and read in any layout;
+reports are indented, because people read them.  Reports embed the exact
+formula strings behind every certified constant and the seed used for any
+randomized initial data, so identical inputs produce byte-identical numeric
+fields at a fixed BLAS thread count (another thread count may move the last
+digits).
 
 Exit codes: 0 when every recorded verdict passes, 2 when any verdict
 fails, 1 on malformed or invalid input, usage errors included (with a
@@ -115,6 +118,7 @@ def load_problem(path: str):
 
 
 def dump_problem(system, path: str) -> None:
+    """Write ``system`` to ``path`` as one line of compact JSON."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "alpha": matrix_to_json(system.alpha),
@@ -122,11 +126,13 @@ def dump_problem(system, path: str) -> None:
         "gamma": matrix_to_json(system.gamma),
         "C": matrix_to_json(system.C),
     }
-    _write_json(payload, path)
+    _write_json(payload, path, indent=None)
 
 
-def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+def _write_json(payload: dict, path: str | None, indent: int | None = 2) -> None:
+    # indent=None keeps json on its C encoder; any indent selects the
+    # pure-Python one, about seven times slower on a grid problem.
+    text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -199,9 +205,13 @@ def _cmd_simulate(args) -> int:
     if args.u0 is not None:
         with open(args.u0, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        arr = np.asarray(raw, dtype=float)
+        expected = f"u0 must be a list of {n0 + n1} [re, im] pairs"
+        try:
+            arr = np.asarray(raw, dtype=float)
+        except TypeError as exc:
+            raise ValueError(expected) from exc
         if arr.ndim != 2 or arr.shape != (n0 + n1, 2):
-            raise ValueError(f"u0 must be a list of {n0 + n1} [re, im] pairs")
+            raise ValueError(expected)
         u0, v_raw = np.split(arr[:, 0] + 1j * arr[:, 1], [n0])
     else:
         u0, v_raw = random_components(args.seed, n0, n1)

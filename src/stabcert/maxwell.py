@@ -21,6 +21,7 @@ N = 2; the smallest grid with nontrivial coupling is N = 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,12 @@ class GridSpec:
     def __post_init__(self):
         if self.N < 2:
             raise ParameterOutOfRange(f"N must be at least 2, got {self.N}")
-        if not self.h > 0:
-            raise ParameterOutOfRange(f"h must be positive, got {self.h}")
+        # The difference quotients scale by 0.5 / h: an infinite h would zero
+        # the curl, and an h below about 2.8e-309 would overflow it.
+        if not (0 < self.h < math.inf and 0.5 / self.h < math.inf):
+            raise ParameterOutOfRange(
+                f"h must be finite and positive with 0.5 / h finite, got {self.h}"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ def build_curl(spec: GridSpec) -> DiscreteCurl:
             f"curl would have {dim} rows, above the dense-assembly limit {_MAX_CURL_ROWS}"
         )
     S = _cyclic_shift(N)
-    Dc = (S - S.T) / (2.0 * h)
+    Dc = (S - S.T) * (0.5 / h)
     eye = np.eye(N)
     Dx = np.kron(np.kron(Dc, eye), eye)
     Dy = np.kron(np.kron(eye, Dc), eye)

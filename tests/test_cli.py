@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,16 +15,23 @@ from stabcert import cli
 from stabcert.cli import main, matrix_to_json, load_problem
 
 
-def _write_problem(path, alpha, beta, gamma, C):
-    payload = {
+def _payload(alpha, beta, gamma, C):
+    return {
         "schema_version": 1,
         "alpha": matrix_to_json(np.asarray(alpha, dtype=complex)),
         "beta": matrix_to_json(np.asarray(beta, dtype=complex)),
         "gamma": matrix_to_json(np.asarray(gamma, dtype=complex)),
         "C": matrix_to_json(np.asarray(C, dtype=complex)),
     }
-    path.write_text(json.dumps(payload))
+
+
+def _write_problem(path, alpha, beta, gamma, C, **layout):
+    path.write_text(json.dumps(_payload(alpha, beta, gamma, C), **layout))
     return str(path)
+
+
+# The layout maxwell-gen wrote before problem files became one line.
+LEGACY = {"indent": 2, "sort_keys": True}
 
 
 @pytest.fixture()
@@ -45,14 +53,44 @@ def test_maxwell_gen_then_certify(tmp_path):
 
 
 def test_problem_round_trip(tmp_path):
+    # h = 0.3 gives curl entries that no short decimal represents exactly.
     problem = tmp_path / "m.json"
-    assert main(["maxwell-gen", "--n", "2", "-o", str(problem)]) == 0
+    assert main(["maxwell-gen", "--n", "3", "--h", "0.3", "-o", str(problem)]) == 0
+    direct = sc.build_maxwell_system(sc.GridSpec(N=3, h=0.3))
+    matrices = (direct.alpha, direct.beta, direct.gamma, direct.C)
+    text = problem.read_text()
+    assert text == json.dumps(_payload(*matrices), sort_keys=True) + "\n"
+    assert text.count("\n") == 1
     system = load_problem(str(problem))
-    direct = sc.build_maxwell_system(sc.GridSpec(N=2))
-    assert np.array_equal(system.alpha, direct.alpha)
-    assert np.array_equal(system.beta, direct.beta)
-    assert np.array_equal(system.gamma, direct.gamma)
-    assert np.array_equal(system.C, direct.C)
+    legacy = load_problem(_write_problem(tmp_path / "legacy.json", *matrices, **LEGACY))
+    for name in ("alpha", "beta", "gamma", "C"):
+        assert np.array_equal(getattr(system, name), getattr(direct, name))
+        assert getattr(system, name).tobytes() == getattr(legacy, name).tobytes()
+
+
+def test_certify_reads_any_problem_layout(tmp_path):
+    system = sc.build_maxwell_system(sc.GridSpec(N=3), sigma=0.7)
+    compact = tmp_path / "compact.json"
+    cli.dump_problem(system, str(compact))
+    legacy = _write_problem(tmp_path / "legacy.json", system.alpha, system.beta, system.gamma,
+                            system.C, **LEGACY)
+    reports = [tmp_path / "r_compact.json", tmp_path / "r_legacy.json"]
+    assert main(["certify", str(compact), "-o", str(reports[0])]) == 0
+    assert main(["certify", legacy, "-o", str(reports[1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def test_refused_problem_leaves_no_file(tmp_path, capsys):
+    # The text is built before the file is opened.
+    inf = np.array([[np.inf]], dtype=complex)
+    system = SimpleNamespace(alpha=inf, beta=inf, gamma=inf, C=inf)
+    path = tmp_path / "p.json"
+    with pytest.raises(ValueError):
+        cli.dump_problem(system, str(path))
+    assert not path.exists()
+    assert main(["maxwell-gen", "--n", "3", "--h", "inf", "-o", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+    assert not path.exists()
 
 
 def test_certify_rejects_undamped_system(tmp_path, capsys):
@@ -98,6 +136,17 @@ def test_simulate_records_projection_residual(tmp_path):
     # second block component (1, 1) projects onto ran(C) = span e1
     assert data["projection_residual"] == pytest.approx(1.0, abs=1e-10)
     assert len(data["state_norms"]) == 401
+
+
+def test_simulate_refuses_u0_object(scalar_problem, tmp_path, capsys):
+    u0_file = tmp_path / "u0.json"
+    u0_file.write_text(json.dumps({"a": 1}))
+    argv = ["simulate", scalar_problem, "--t-end", "1", "--samples", "11", "--u0", str(u0_file)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ValueError",
+                                    "detail": "u0 must be a list of 2 [re, im] pairs"}
 
 
 def test_simulate_seed_reproduces_certify_trajectory(scalar_problem, tmp_path):

@@ -9,8 +9,10 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ParameterOutOfRange):
             sc.GridSpec(N=1)
-        with pytest.raises(ParameterOutOfRange):
-            sc.GridSpec(N=3, h=0.0)
+        # inf would zero the curl, and 0.5 / 1e-320 overflows.
+        for h in (0.0, float("inf"), 1e-320, float("nan")):
+            with pytest.raises(ParameterOutOfRange, match="h must be"):
+                sc.GridSpec(N=3, h=h)
 
 
 class TestBuildCurl:
