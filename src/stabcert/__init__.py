@@ -35,6 +35,7 @@ from .errors import (
 )
 from .model import (
     BlockSystem,
+    assemble_generator,
     hermitian_min_eig,
     operator_norm,
     validate_system,
@@ -59,7 +60,6 @@ from .certificate import (
 from .verify import (
     TrajectoryTrace,
     admissible_initial,
-    assemble_generator,
     block_inverse,
     change_of_variables_residual,
     check_m_dissipative,

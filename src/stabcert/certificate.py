@@ -49,7 +49,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroRangeOperator,
 )
-from .model import BlockSystem, ComplexMatrix, operator_norm
+from .model import BlockSystem, ComplexMatrix, assemble_generator, operator_norm
 from .normalize import NormalizedSystem, normalize_system
 from .helmholtz import HelmholtzFrames, decompose, restricted_generator
 from .verify import (
@@ -57,7 +57,6 @@ from .verify import (
     TrajectoryTrace,
     _neumann_squares,
     admissible_start,
-    assemble_generator,
     fit_decay_rate,
     random_components,
     resolvent_cover,

@@ -33,14 +33,13 @@ import sys
 import numpy as np
 
 from .errors import StabcertError
-from .model import validate_system
+from .model import assemble_generator, validate_system
 from .normalize import normalize_system
 from .helmholtz import decompose, decoupling_transforms
 from .certificate import FORMULAS, audit_system, prepare, refuse_oversized
 from .maxwell import GridSpec, build_maxwell_system
 from .verify import (
     admissible_start,
-    assemble_generator,
     fit_decay_rate,
     gp_sweep,
     random_components,
@@ -59,6 +58,11 @@ def matrix_to_json(M) -> list:
     return np.stack([M.real, M.imag], -1).tolist()
 
 
+def _from_pairs(arr: np.ndarray) -> np.ndarray:
+    """Complex view of trailing [re, im] pairs: unlike re + 1j*im, it keeps -0.0."""
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
+
+
 def matrix_from_json(data, name: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
@@ -66,7 +70,7 @@ def matrix_from_json(data, name: str) -> np.ndarray:
         raise ValueError(f"{name} is not a nested [re, im] array") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(f"{name} must be a 2-D array of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return _from_pairs(arr)
 
 
 def _finite(x):
@@ -150,12 +154,6 @@ def _sweep_summary(report) -> dict:
     }
 
 
-def _certificate_summary(cert) -> dict:
-    summary = dataclasses.asdict(cert)
-    summary["audit"]["max_resolvent_norm"] = _finite(cert.audit.max_resolvent_norm)
-    return summary
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -165,7 +163,7 @@ def _cmd_certify(args) -> int:
     audit = audit_system(system, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "certificate": _certificate_summary(audit.certificate),
+        "certificate": dataclasses.asdict(audit.certificate),
         "formulas": FORMULAS,
         "oracles": {
             "spectral_abscissa_restricted": audit.abscissa,
@@ -212,7 +210,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(expected) from exc
         if arr.ndim != 2 or arr.shape != (n0 + n1, 2):
             raise ValueError(expected)
-        u0, v_raw = np.split(arr[:, 0] + 1j * arr[:, 1], [n0])
+        u0, v_raw = np.split(_from_pairs(arr), [n0])
     else:
         u0, v_raw = random_components(args.seed, n0, n1)
     frames = decompose(ns.D)

@@ -14,10 +14,13 @@ operator z - B becomes a three-block matrix whose coupling rows involve
 only the invertible restriction C_tilde = iota1* C iota0.  Two unipotent
 transforms decouple it into a two-by-two block with a Schur-complement
 damping term and a scalar-type kernel block; both transforms and their
-inverses carry explicit norm bounds on the half-plane Re z > -c.
+inverses carry explicit norm bounds on the half-plane Re z > -c.  The
+two-by-two block is again a generator, [[-gamma1(z), C_tilde*],
+[-C_tilde, 0]], built by :func:`~stabcert.model.assemble_generator`.
 
-All frequency-dependent objects are built per call and never cached:
-resolvent sweeps move z densely and caching invites staleness bugs.
+All frequency-dependent objects are built per call and never cached: each
+costs one small inverse and a few products next to the SVD of
+:func:`decompose`, and a cache keyed on z invites staleness bugs.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     SingularKernelBlock,
     SingularReducedBlock,
 )
-from .model import ComplexMatrix, as_complex_matrix
+from .model import ComplexMatrix, as_complex_matrix, assemble_generator
 from .normalize import NormalizedSystem
 
 __all__ = [
@@ -239,22 +242,6 @@ def decoupling_transforms(gamma, frames: HelmholtzFrames, z, c: float) -> Decoup
     )
 
 
-def reduced_block(blocks: DecoupledBlocks, C_tilde: ComplexMatrix) -> ComplexMatrix:
-    """The decoupled two-by-two block z I + [[gamma1_z, -C_tilde*], [C_tilde, 0]]-ish.
-
-    Coordinates are (iota0* u, iota1* v); the damping enters only the first
-    diagonal block.
-    """
-    r = C_tilde.shape[0]
-    z = blocks.z
-    M2 = np.zeros((2 * r, 2 * r), dtype=complex)
-    M2[:r, :r] = blocks.gamma1_z
-    M2[:r, r:] = -C_tilde.conj().T
-    M2[r:, :r] = C_tilde
-    M2 += z * np.eye(2 * r)
-    return M2
-
-
 # Largest back-substituted residual of decoupled_solve, relative to ||F||.
 _SOLVE_TOL = 1e-10
 
@@ -277,8 +264,6 @@ def decoupled_solve(ns: NormalizedSystem, frames: HelmholtzFrames, z, F) -> np.n
         If the second component of F leaves ran(C).
     """
     z = complex(z)
-    gamma = ns.gamma_tilde
-    c = ns.c_gamma_tilde
     n0, n1, r = frames.n0, frames.n1, frames.r
     F = np.asarray(F, dtype=complex)
     if F.shape != (n0 + n1,):
@@ -294,23 +279,19 @@ def decoupled_solve(ns: NormalizedSystem, frames: HelmholtzFrames, z, F) -> np.n
                 f"kernel residual {out_of_range:.3e} vs norm {g_norm:.3e}"
             )
 
-    blocks = decoupling_transforms(gamma, frames, z, c)
+    blocks = decoupling_transforms(ns.gamma_tilde, frames, z, ns.c_gamma_tilde)
 
     b = np.concatenate(
         [frames.iota0.conj().T @ f, frames.iota1.conj().T @ g, frames.kappa0.conj().T @ f]
     )
     Fp = blocks.T1 @ b
 
-    M2 = reduced_block(blocks, frames.C_tilde)
-    if r:
-        try:
-            U12 = np.linalg.solve(M2, Fp[: 2 * r])
-        except np.linalg.LinAlgError as exc:
-            raise SingularReducedBlock(f"reduced block singular at z = {z}") from exc
-    else:
-        U12 = np.zeros(0, dtype=complex)
-    S = z * np.eye(n0 - r) + blocks.gamma2
-    U3 = np.linalg.solve(S, Fp[2 * r :]) if n0 - r else np.zeros(0, dtype=complex)
+    M2 = z * np.eye(2 * r) - assemble_generator(blocks.gamma1_z, frames.C_tilde)
+    try:
+        U12 = np.linalg.solve(M2, Fp[: 2 * r])
+    except np.linalg.LinAlgError as exc:
+        raise SingularReducedBlock(f"reduced block singular at z = {z}") from exc
+    U3 = np.linalg.solve(z * np.eye(n0 - r) + blocks.gamma2, Fp[2 * r :])
 
     x = blocks.T2 @ np.concatenate([U12, U3])
     u = frames.iota0 @ x[:r] + frames.kappa0 @ x[2 * r :]
@@ -318,10 +299,7 @@ def decoupled_solve(ns: NormalizedSystem, frames: HelmholtzFrames, z, F) -> np.n
     UV = np.concatenate([u, v])
 
     # Back-substituted residual against the full shifted operator.
-    Bz = z * np.eye(n0 + n1, dtype=complex)
-    Bz[:n0, :n0] += gamma
-    Bz[:n0, n0:] -= ns.D.conj().T
-    Bz[n0:, :n0] += ns.D
+    Bz = z * np.eye(n0 + n1) - assemble_generator(ns.gamma_tilde, ns.D)
     residual = float(np.linalg.norm(Bz @ UV - F))
     if residual > _SOLVE_TOL * max(float(np.linalg.norm(F)), 1e-300):
         raise SingularReducedBlock(

@@ -13,6 +13,10 @@ component only, coercive in its Hermitian part, and ``C`` couples the two
 components.  ``validate_system`` checks exactly these standing assumptions
 and records the measured coercivity constants.
 
+In unit weights the generator is the block [[-gamma, D*], [-D, 0]], and so is
+the decoupled block of :mod:`~stabcert.helmholtz`.  This module owns that
+layout, :func:`assemble_generator`, and the square check, :func:`as_square_matrix`.
+
 Coercivity is always realized as the smallest eigenvalue of the Hermitian
 part (1/2)(M + M*): exact and deterministic in finite dimensions, with the
 symmetrization applied before the eigensolve to kill rounding asymmetry.
@@ -31,6 +35,8 @@ __all__ = [
     "ComplexMatrix",
     "BlockSystem",
     "as_complex_matrix",
+    "as_square_matrix",
+    "assemble_generator",
     "hermitian_part",
     "hermitian_min_eig",
     "operator_norm",
@@ -51,6 +57,36 @@ def as_complex_matrix(a, name: str = "matrix") -> ComplexMatrix:
     return M
 
 
+def as_square_matrix(a, name: str) -> ComplexMatrix:
+    """:func:`as_complex_matrix`, refusing a matrix that is not square."""
+    M = as_complex_matrix(a, name)
+    if M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got {M.shape}")
+    return M
+
+
+def assemble_generator(gamma, D) -> ComplexMatrix:
+    """Dense generator [[-gamma, D*], [-D, 0]] in unit-weight variables.
+
+    ``gamma`` is the damping block and ``D`` the coupling block; callers
+    holding a ``NormalizedSystem`` pass ``ns.gamma_tilde`` and
+    ``ns.D``.  Taking the blocks directly also serves audits that relax
+    strict coercivity (for example damping with Re gamma >= 0 only) and the
+    decoupled block, whose damping is gamma1(z) and coupling C_tilde.
+    """
+    gamma = as_square_matrix(gamma, "gamma")
+    D = as_complex_matrix(D, "D")
+    n0 = gamma.shape[0]
+    if D.shape[1] != n0:
+        raise DimensionMismatch(f"D must have {n0} columns, got {D.shape}")
+    n1 = D.shape[0]
+    B = np.zeros((n0 + n1, n0 + n1), dtype=complex)
+    B[:n0, :n0] = -gamma
+    B[:n0, n0:] = D.conj().T
+    B[n0:, :n0] = -D
+    return B
+
+
 def hermitian_part(M: ComplexMatrix) -> ComplexMatrix:
     """The Hermitian part (1/2)(M + M*)."""
     return 0.5 * (M + M.conj().T)
@@ -68,9 +104,7 @@ def hermitian_min_eig(M) -> float:
     DimensionMismatch
         If ``M`` is not square.
     """
-    M = as_complex_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
+    M = as_square_matrix(M, "M")
     if M.shape[0] == 0:
         return math.inf
     w = np.linalg.eigvalsh(hermitian_part(M))
@@ -159,15 +193,10 @@ def validate_system(alpha, beta, gamma, C) -> BlockSystem:
     NotCoercive
         If any of the three coercivity constants is at most 1e-10.
     """
-    A = as_complex_matrix(alpha, "alpha")
-    B = as_complex_matrix(beta, "beta")
+    A = as_square_matrix(alpha, "alpha")
+    B = as_square_matrix(beta, "beta")
     G = as_complex_matrix(gamma, "gamma")
     Cm = as_complex_matrix(C, "C")
-
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"alpha must be square, got {A.shape}")
-    if B.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"beta must be square, got {B.shape}")
     n0, n1 = A.shape[0], B.shape[0]
     if G.shape != (n0, n0):
         raise DimensionMismatch(f"gamma must be {n0} x {n0}, got {G.shape}")

@@ -25,7 +25,7 @@ from .model import (
     ComplexMatrix,
     BlockSystem,
     _check_hermitian,
-    as_complex_matrix,
+    as_square_matrix,
     hermitian_min_eig,
     hermitian_part,
 )
@@ -74,9 +74,7 @@ def sqrt_factor(M) -> tuple[ComplexMatrix, ComplexMatrix]:
         If the smallest eigenvalue is nonpositive, or so close to zero
         relative to the largest that inversion would be meaningless.
     """
-    M = as_complex_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {M.shape}")
+    M = as_square_matrix(M, "M")
     _check_hermitian(M, "sqrt_factor argument")
     w, V = np.linalg.eigh(hermitian_part(M))
     if M.shape[0] and (w[0] <= 0.0 or w[0] <= 1e-12 * w[-1]):

@@ -30,7 +30,9 @@ from .errors import (
     Underflow,
     ZeroFrequency,
 )
-from .model import ComplexMatrix, as_complex_matrix
+from .model import (
+    ComplexMatrix, as_complex_matrix, as_square_matrix, assemble_generator, hermitian_part,
+)
 from .normalize import NormalizedSystem, map_state
 from .helmholtz import HelmholtzFrames, decompose
 
@@ -113,37 +115,12 @@ class DissipativityReport:
     shifted_invertible: bool
 
 
-def assemble_generator(gamma, D) -> ComplexMatrix:
-    """Dense generator [[-gamma, D*], [-D, 0]] in unit-weight variables.
-
-    ``gamma`` is the damping block and ``D`` the coupling block; callers
-    holding a :class:`NormalizedSystem` pass ``ns.gamma_tilde`` and
-    ``ns.D``.  Taking the blocks directly also serves audits that relax
-    strict coercivity (for example damping with Re gamma >= 0 only).
-    """
-    gamma = as_complex_matrix(gamma, "gamma")
-    D = as_complex_matrix(D, "D")
-    n0 = gamma.shape[0]
-    if gamma.shape[1] != n0:
-        raise DimensionMismatch(f"gamma must be square, got {gamma.shape}")
-    if D.shape[1] != n0:
-        raise DimensionMismatch(f"D must have {n0} columns, got {D.shape}")
-    n1 = D.shape[0]
-    B = np.zeros((n0 + n1, n0 + n1), dtype=complex)
-    B[:n0, :n0] = -gamma
-    B[:n0, n0:] = D.conj().T
-    B[n0:, :n0] = -D
-    return B
-
-
 def check_m_dissipative(B) -> DissipativityReport:
     """Verify dissipativity of the quadratic form and invertibility of I - B.
 
     I - B counts as singular under the rule of :func:`resolvent_norm`.
     """
-    B = as_complex_matrix(B, "B")
-    if B.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"B must be square, got {B.shape}")
+    B = as_square_matrix(B, "B")
     if B.shape[0] == 0:
         return DissipativityReport(True, -math.inf, True)
     max_re = _max_hermitian_eig(B)
@@ -153,7 +130,7 @@ def check_m_dissipative(B) -> DissipativityReport:
 
 def _max_hermitian_eig(B) -> float:
     """Largest eigenvalue of the Hermitian part of a nonempty square B."""
-    return float(np.linalg.eigvalsh(0.5 * (B + B.conj().T))[-1])
+    return float(np.linalg.eigvalsh(hermitian_part(B))[-1])
 
 
 # Bytes of one stack of shifted matrices z I - B handed to the batched SVD:
@@ -195,9 +172,7 @@ def resolvent_norm(B, z) -> float:
     Raises :class:`Singular` when sigma_min <= 1e-14 sigma_max: z is then
     numerically in the spectrum.
     """
-    B = as_complex_matrix(B, "B")
-    if B.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"B must be square, got {B.shape}")
+    B = as_square_matrix(B, "B")
     z = complex(z)
     norms, singular = _resolvent_norms(B, [z])
     if singular[0]:
@@ -258,9 +233,7 @@ def resolvent_cover(B, a: float, bound: float) -> CoverReport:
     """
     if not (math.isfinite(a) and 0 < bound < math.inf):
         raise ParameterOutOfRange(f"need a finite a and a finite positive bound, got {a!r}, {bound!r}")
-    B = as_complex_matrix(B, "B")
-    if B.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"B must be square, got {B.shape}")
+    B = as_square_matrix(B, "B")
     h = _max_hermitian_eig(B) if B.size else -math.inf
     R = (math.sqrt(np.linalg.norm(B, 1) * np.linalg.norm(B, np.inf)) if B.size else 0.0) + 1.0 / bound
     x0, x1 = -a, h + 1.0 / bound
@@ -291,9 +264,7 @@ def gp_sweep(B, abscissa: float, lambda_max: float, points: int) -> ResolventSwe
     nothing between or beyond its points, which :func:`resolvent_cover`
     does.
     """
-    B = as_complex_matrix(B, "B")
-    if B.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"B must be square, got {B.shape}")
+    B = as_square_matrix(B, "B")
     if points < 2:
         raise ParameterOutOfRange("points must be at least 2")
     if not (math.isfinite(lambda_max) and lambda_max > 0):
@@ -317,9 +288,7 @@ def gp_sweep(B, abscissa: float, lambda_max: float, points: int) -> ResolventSwe
 
 def spectral_abscissa(B) -> float:
     """Largest real part of the spectrum; the sharp decay rate is its negative."""
-    B = as_complex_matrix(B, "B")
-    if B.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"B must be square, got {B.shape}")
+    B = as_square_matrix(B, "B")
     if B.shape[0] == 0:
         return -math.inf
     return float(np.linalg.eigvals(B).real.max())
@@ -332,10 +301,8 @@ def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
     is well conditioned (cond < 1e6); otherwise one Pade step
     ``scipy.linalg.expm(B dt)`` is repeated, the only path that loads scipy.
     """
-    B = as_complex_matrix(B, "B")
+    B = as_square_matrix(B, "B")
     n = B.shape[0]
-    if B.shape[1] != n:
-        raise DimensionMismatch(f"B must be square, got {B.shape}")
     U0 = np.asarray(U0, dtype=complex)
     if U0.shape != (n,):
         raise DimensionMismatch(f"U0 must have length {n}, got {U0.shape}")
@@ -467,12 +434,10 @@ def block_inverse(A, Bop, Cop) -> ComplexMatrix:
     [[0, Cop^-1], [Bop^-1, -Bop^-1 A Cop^-1]]; multiplied back against the
     assembled block matrix it reproduces the identity.
     """
-    A = as_complex_matrix(A, "A")
+    A = as_square_matrix(A, "A")
     Bop = as_complex_matrix(Bop, "Bop")
     Cop = as_complex_matrix(Cop, "Cop")
     n0 = A.shape[0]
-    if A.shape[1] != n0:
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
     if Bop.shape[0] != n0 or Bop.shape[0] != Bop.shape[1]:
         raise DimensionMismatch(
             f"Bop must be square with {n0} rows to be invertible, got {Bop.shape}"
@@ -533,10 +498,9 @@ def change_of_variables_residual(ns: NormalizedSystem, z, delta: float, U, F) ->
     u, v = U[:n0], U[n0:]
     f, g = F[:n0], F[n0:]
 
-    gamma = ns.gamma_tilde
     eye = np.eye(n0)
     D_inv = np.linalg.inv(D)
-    shifted_gamma = gamma - delta * eye
+    shifted_gamma = ns.gamma_tilde - delta * eye
     factor = 1.0 + delta / z
 
     U_delta = np.concatenate([factor * u, v])
@@ -544,10 +508,7 @@ def change_of_variables_residual(ns: NormalizedSystem, z, delta: float, U, F) ->
         [f + shifted_gamma @ (D_inv @ g) * (delta / z), factor * g]
     )
 
-    L = np.zeros((2 * n0, 2 * n0), dtype=complex)
-    L[:n0, :n0] = shifted_gamma
-    L[:n0, n0:] = delta * (shifted_gamma @ D_inv) - D.conj().T
-    L[n0:, :n0] = D
-    L[n0:, n0:] = delta * eye
-    L += z * np.eye(2 * n0)
+    L = z * np.eye(2 * n0) - assemble_generator(shifted_gamma, D)
+    L[:n0, n0:] += delta * (shifted_gamma @ D_inv)
+    L[n0:, n0:] += delta * eye
     return float(np.linalg.norm(L @ U_delta - F_delta))

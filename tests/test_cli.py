@@ -12,7 +12,7 @@ import pytest
 
 import stabcert as sc
 from stabcert import cli
-from stabcert.cli import main, matrix_to_json, load_problem
+from stabcert.cli import main, matrix_from_json, matrix_to_json, load_problem
 
 
 def _payload(alpha, beta, gamma, C):
@@ -64,8 +64,12 @@ def test_problem_round_trip(tmp_path):
     system = load_problem(str(problem))
     legacy = load_problem(_write_problem(tmp_path / "legacy.json", *matrices, **LEGACY))
     for name in ("alpha", "beta", "gamma", "C"):
-        assert np.array_equal(getattr(system, name), getattr(direct, name))
-        assert getattr(system, name).tobytes() == getattr(legacy, name).tobytes()
+        built = np.asarray(getattr(direct, name), dtype=complex).tobytes()
+        assert getattr(system, name).tobytes() == built
+        assert getattr(legacy, name).tobytes() == built
+    again = tmp_path / "again.json"
+    cli.dump_problem(system, str(again))
+    assert again.read_bytes() == problem.read_bytes()
 
 
 def test_certify_reads_any_problem_layout(tmp_path):
@@ -333,6 +337,12 @@ def test_matrix_to_json_keeps_every_bit():
     for A in (M, M.T, M[:0], M[:, :0], np.eye(3), np.array([[1]])):
         assert json.dumps(matrix_to_json(A)) == json.dumps(per_element(np.asarray(A, dtype=complex)))
     assert json.dumps(matrix_to_json(M)).startswith("[[[-0.0, 0.0], [-0.0, -0.0], [5e-324, -5e-324]]")
+
+
+def test_matrix_from_json_keeps_signed_zeros():
+    data = [[[-0.0, 0.0], [1.0, -0.0]]]
+    M = matrix_from_json(data, "M")
+    assert json.dumps(matrix_to_json(M)) == "[[[-0.0, 0.0], [1.0, -0.0]]]"
 
 
 def test_certify_loads_no_scipy(scalar_problem, tmp_path):

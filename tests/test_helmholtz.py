@@ -207,6 +207,16 @@ class TestDecoupledSolve:
             UV = sc.decoupled_solve(ns, fr, z, F)
             dense = np.linalg.solve(assemble_shifted(ns.gamma_tilde, ns.D, z), F)
             assert np.linalg.norm(UV - dense) <= 1e-10 * np.linalg.norm(dense)
+        # Zero coupling: the reduced block is empty (r = 0), g must vanish,
+        # and the kernel block alone solves the system.
+        ns = sc.normalize_system(random_block_system(rng, 3, 2, 0, identity_weights=True))
+        fr = sc.decompose(ns.D)
+        assert fr.r == 0
+        z = complex(0.7, -1.3)
+        F = np.concatenate([rng.standard_normal(3) + 1j * rng.standard_normal(3), np.zeros(2)])
+        UV = sc.decoupled_solve(ns, fr, z, F)
+        dense = np.linalg.solve(assemble_shifted(ns.gamma_tilde, ns.D, z), F)
+        assert np.linalg.norm(UV - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_scalar_kernel_component(self):
         s = sc.validate_system(np.eye(2), np.eye(1), np.eye(2), [[1.0, 0.0]])

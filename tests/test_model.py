@@ -3,6 +3,7 @@ import pytest
 
 import stabcert as sc
 from stabcert import DimensionMismatch, NotCoercive, NotHermitian, ParameterOutOfRange
+from stabcert.verify import resolvent_cover
 
 from helpers import haar_unitary
 
@@ -81,6 +82,34 @@ class TestHermitianMinEig:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatch):
             sc.hermitian_min_eig(np.ones((2, 3)))
+
+
+_RECT = np.ones((2, 3))
+# (argument name, entry point, arguments with a 2 x 3 operator in that slot)
+_SQUARE_CHECKS = [
+    ("B", sc.resolvent_norm, (_RECT, 1.0)),
+    ("B", resolvent_cover, (_RECT, 0.1, 10.0)),
+    ("B", sc.gp_sweep, (_RECT, 0.0, 1.0, 5)),
+    ("B", sc.spectral_abscissa, (_RECT,)),
+    ("B", sc.simulate, (_RECT, np.ones(2), 1.0, 5)),
+    ("B", sc.check_m_dissipative, (_RECT,)),
+    ("M", sc.hermitian_min_eig, (_RECT,)),
+    ("M", sc.sqrt_factor, (_RECT,)),
+    ("alpha", sc.validate_system, (_RECT, np.eye(1), np.eye(2), np.eye(1, 2))),
+    ("beta", sc.validate_system, (np.eye(1), _RECT, np.eye(1), np.eye(2, 1))),
+    ("gamma", sc.assemble_generator, (_RECT, np.eye(1, 2))),
+    ("A", sc.block_inverse, (_RECT, np.eye(2), np.eye(2))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fn, args", _SQUARE_CHECKS, ids=[f"{fn.__name__}-{name}" for name, fn, _ in _SQUARE_CHECKS]
+)
+def test_square_operators_refuse_rectangles(name, fn, args):
+    # Every entry point that needs a square operator refuses a 2 x 3 one and
+    # names the argument.
+    with pytest.raises(DimensionMismatch, match=rf"^{name} must be square, got \(2, 3\)$"):
+        fn(*args)
 
 
 def _power_iteration_norm(M, iters=5000):
