@@ -36,11 +36,14 @@ the original variables.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_blas_thread, usable_cpus
 from .errors import (
     CertificateFailure,
     DegenerateProblem,
@@ -359,9 +362,10 @@ def _small_frequency_audit(
 _AUDIT_EVALS = 128  # dense resolvent evaluations per pass of the small-frequency cover
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
 # and the oracle cover take dense m x m SVDs, a few dozen in practice: with
-# per-cell materials at N = 5 (m = 623, admitted) audit_system took 7.4 s on
-# 2 cores, 4.3 s of it in 29 cover evaluations.  A cover that runs into its cap
-# of 802 would take about two minutes there; N = 6 (m = 1064) is refused.
+# per-cell materials at N = 5 (m = 623, admitted) audit_system took 7.5 s on
+# 2 cores, 6.8 s of it in 29 cover evaluations on one BLAS thread, overlapped
+# with the other oracles.  A cover that runs into its cap of 802 would take
+# about three minutes there; N = 6 (m = 1064) is refused.
 _MAX_AUDIT_DIM = 640
 
 
@@ -489,22 +493,27 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     both lines the sweep verdicts name, and the decay rate fitted to an
     801-sample trajectory of a random admissible start drawn from ``seed``.
     ``checks`` holds one verdict per comparison.
+
+    Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).
+    For a generator of at least _OVERLAP_MIN_DIM rows on more than one CPU,
+    the cover runs on a worker thread while this one computes the abscissa
+    and the trajectory; the results are the same as in the serial order.
     """
-    prep = prepare(sys)
-    ns = prep.normalized
-    cert = full_certificate(prep)
-    abscissa = spectral_abscissa(prep.B_res)
-    cover = resolvent_cover(prep.B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
-
-    u0, v_raw = random_components(seed, sys.n0, sys.n1)
-    U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
-
-    # The rounding-level part of U0 in ker(D*) never decays; end the run
-    # while the decaying part, near exp(-30), is still far above it, and
-    # at t = 20 at the latest.
-    t_end = 30.0 / max(-abscissa, 1.5)
-    trace = simulate(assemble_generator(ns.gamma_tilde, ns.D), U0, t_end, 801)
-    fitted = fit_decay_rate(trace)
+    with single_blas_thread() as pinned:
+        prep = prepare(sys)
+        cert = full_certificate(prep)
+        cover_args = (prep.B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
+        if pinned and prep.B_res.shape[0] >= _OVERLAP_MIN_DIM and usable_cpus() > 1:
+            worker = _Worker(resolvent_cover, *cover_args)
+            try:
+                abscissa = spectral_abscissa(prep.B_res)
+                trace, fitted, residual = _trajectory(prep, seed, abscissa)
+            finally:
+                cover = worker.result()  # joins; a cover error is raised here
+        else:
+            abscissa = spectral_abscissa(prep.B_res)
+            cover = resolvent_cover(*cover_args)
+            trace, fitted, residual = _trajectory(prep, seed, abscissa)
 
     norms = trace.state_norms
     checks = {
@@ -526,3 +535,49 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
         projection_residual=residual,
         checks=checks,
     )
+
+
+def _trajectory(prep: PreparedProblem, seed: int, abscissa: float):
+    """The trajectory oracle: ``(trace, fitted decay rate, projection residual)``."""
+    ns = prep.normalized
+    u0, v_raw = random_components(seed, ns.n0, ns.n1)
+    U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
+
+    # The rounding-level part of U0 in ker(D*) never decays; end the run
+    # while the decaying part, near exp(-30), is still far above it, and
+    # at t = 20 at the latest.
+    t_end = 30.0 / max(-abscissa, 1.5)
+    trace = simulate(assemble_generator(ns.gamma_tilde, ns.D), U0, t_end, 801)
+    return trace, fit_decay_rate(trace), residual
+
+
+# Smallest restricted generator whose cover audit_system overlaps with the
+# other oracles.  Small kernels take microseconds, and the two threads then
+# mostly hand the interpreter lock back and forth: a pass over the 200-system
+# benchmark corpus (m <= 12) took 0.80 s overlapped against 0.53 s serial.
+# Random systems at m = 16 to 64 showed no clear difference either way, and
+# the N = 3 grids (m = 133) took a fifth less time overlapped; 2 cores.
+_OVERLAP_MIN_DIM = 64
+
+
+class _Worker(threading.Thread):
+    """Runs ``fn(*args)`` at once; :meth:`result` joins and returns or raises."""
+
+    def __init__(self, fn, *args) -> None:
+        # A daemon: after an interrupted join the process can still exit.
+        super().__init__(name=f"stabcert-{fn.__name__}", daemon=True)
+        self._call = functools.partial(fn, *args)
+        self._value = self._error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._value = self._call()
+        except BaseException as exc:  # handed to the joining thread
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value

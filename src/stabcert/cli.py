@@ -12,9 +12,10 @@ complex numbers stored as two-element [re, im] arrays and a
 JSON, the fastest layout for json's encoder, and read in any layout;
 reports are indented, because people read them.  Reports embed the exact
 formula strings behind every certified constant and the seed used for any
-randomized initial data, so identical inputs produce byte-identical numeric
-fields at a fixed BLAS thread count (another thread count may move the last
-digits).
+randomized initial data, so identical inputs produce byte-identical reports.
+Every command runs with numpy's bundled OpenBLAS pinned to one thread, so
+reports do not depend on the thread count either; with another BLAS the
+thread count is left alone, and changing it may move the last digits.
 
 Exit codes: 0 when every recorded verdict passes, 2 when any verdict
 fails, 1 on malformed or invalid input, usage errors included (with a
@@ -32,6 +33,7 @@ import sys
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .errors import StabcertError
 from .model import assemble_generator, validate_system
 from .normalize import normalize_system
@@ -344,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with single_blas_thread():
+            return args.func(args)
     except (StabcertError, ValueError, OSError, json.JSONDecodeError) as exc:
         line = json.dumps({"error": type(exc).__name__, "detail": str(exc)})
         print(line, file=sys.stderr)

@@ -157,7 +157,9 @@ def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
     chunk = max(1, _RESOLVENT_STACK_BYTES // (16 * m * m))
     for start in range(0, zs.size, chunk):
         part = slice(start, start + chunk)
-        s = np.linalg.svd(zs[part, None, None] * eye - B, compute_uv=False)
+        shifted = zs[part, None, None] * eye  # one k x m x m stack, shifted in place
+        shifted -= B
+        s = np.linalg.svd(shifted, compute_uv=False)
         smin, smax = s[:, -1], s[:, 0]
         bad = smin <= 1e-14 * smax
         singular[part] = bad

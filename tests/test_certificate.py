@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from stabcert import (
 )
 
 from stabcert import certificate, verify
+from stabcert._blas import _openblas_threads
 from stabcert.certificate import _small_frequency_audit, prepare
 from stabcert.verify import _resolvent_norms, admissible_start, random_components
 
@@ -435,6 +439,14 @@ class TestFullCertificate:
 _FAST_DECAY = ([[1.0]], [[2.0, 1.0], [1.0, 2.0]], [[6.0]], [[20.0], [20.0]])
 
 
+def _hetero_grid():
+    """A per-cell N = 3 grid, where no scalar shortcut applies (m = 133)."""
+    rng = np.random.default_rng(7)
+    return sc.build_maxwell_system(
+        sc.GridSpec(N=3), eps=rng.uniform(1.0, 2.0, 27), sigma=rng.uniform(0.5, 1.5, 27)
+    )
+
+
 class TestPrepare:
     def test_audit_size_guard(self):
         # m = n0 + rank = 660 is above the 640 rows the dense audit can finish;
@@ -523,10 +535,7 @@ class TestPrepare:
         # On a per-cell N = 3 grid, where no scalar shortcut applies, the
         # audit and the cover evaluate fewer than 100 resolvent norms in all
         # (two 401-point sweeps took 802), and nothing else evaluates one.
-        rng = np.random.default_rng(7)
-        s = sc.build_maxwell_system(
-            sc.GridSpec(N=3), eps=rng.uniform(1.0, 2.0, 27), sigma=rng.uniform(0.5, 1.5, 27)
-        )
+        s = _hetero_grid()
         points = []
 
         def spy(B, zs):
@@ -551,3 +560,54 @@ class TestPrepare:
         assert audit.abscissa == pytest.approx(-3.0)
         assert audit.fitted_rate == pytest.approx(3.0, rel=1e-3)
         assert all(audit.checks.values())
+
+
+class TestOverlappedCover:
+    """audit_system's cover on a worker thread: same results, no leaks."""
+
+    @pytest.fixture()
+    def overlap(self, monkeypatch):
+        """Force the overlap wherever the BLAS pin holds, whatever the CPU count."""
+        monkeypatch.setattr(certificate, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(certificate, "_OVERLAP_MIN_DIM", 0)
+        return monkeypatch
+
+    def test_overlap_matches_the_serial_order(self, overlap):
+        s = _hetero_grid()
+        threads = []
+
+        def cover(*args):
+            threads.append(threading.current_thread())
+            return verify.resolvent_cover(*args)
+
+        overlap.setattr(certificate, "resolvent_cover", cover)
+        on = sc.audit_system(s)
+        overlap.setattr(certificate, "_OVERLAP_MIN_DIM", 10**9)
+        off = sc.audit_system(s)
+        assert threads[1] is threading.current_thread()
+        assert (threads[0] is not threading.current_thread()) == (_openblas_threads() is not None)
+        assert dataclasses.asdict(on.certificate) == dataclasses.asdict(off.certificate)
+        assert dataclasses.asdict(on.cover) == dataclasses.asdict(off.cover)
+        assert on.abscissa == off.abscissa and on.fitted_rate == off.fitted_rate
+        assert np.array_equal(on.trace.state_norms, off.trace.state_norms)
+        assert on.checks == off.checks and all(on.checks.values())
+
+    @pytest.mark.parametrize("where", ["resolvent_cover", "fit_decay_rate"])
+    def test_errors_propagate_and_leave_no_thread(self, overlap, where):
+        def slow_cover(*args):
+            time.sleep(0.2)  # still running when the calling thread fails
+            if where == "resolvent_cover":
+                raise CertificateFailure("resolvent_cover failed")
+            return verify.resolvent_cover(*args)
+
+        def fail_fit(trace):
+            raise CertificateFailure("fit_decay_rate failed")
+
+        overlap.setattr(certificate, "resolvent_cover", slow_cover)
+        if where == "fit_decay_rate":
+            overlap.setattr(certificate, "fit_decay_rate", fail_fit)
+        blas = _openblas_threads()
+        before = (threading.active_count(), blas and blas[0]())
+        with pytest.raises(CertificateFailure, match=f"{where} failed"):
+            sc.audit_system(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]]))
+        assert (threading.active_count(), blas and blas[0]()) == before

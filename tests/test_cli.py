@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import pytest
 
 import stabcert as sc
 from stabcert import cli
+from stabcert._blas import _openblas_threads
 from stabcert.cli import main, matrix_from_json, matrix_to_json, load_problem
 
 
@@ -374,14 +376,19 @@ def test_cached_parser_keeps_no_state(scalar_problem, tmp_path):
     assert json.loads(out["five"].read_text())["trajectory"]["seed"] == 5
 
 
-def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
-    # perfbench/tracing.py wraps functions by module and name; a rename
-    # under src/ must fail here rather than in the benchmark's traced run.
+def _load_perfbench_tracing(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps functions by module and name; a rename
+    # under src/ must fail here rather than in the benchmark's traced run.
+    tracing = _load_perfbench_tracing(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -429,3 +436,61 @@ def test_non_finite_input_is_refused(scalar_problem, tmp_path, capsys, argv, u0)
         argv = [*argv, "--u0", str(u0_file)]
     assert main([argv[0], scalar_problem, *argv[1:]]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ParameterOutOfRange"
+
+
+@pytest.fixture()
+def grid_problem(tmp_path):
+    path = str(tmp_path / "grid.json")
+    assert main(["maxwell-gen", "--n", "3", "--eps", "1", "--mu", "1", "--sigma", "1",
+                 "-o", path]) == 0
+    return path
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy bundles no OpenBLAS here")
+def test_certify_report_does_not_depend_on_blas_threads(grid_problem, tmp_path):
+    # On this grid 1 and 2 OpenBLAS threads moved the last digits of the
+    # report while certify ran at the environment's thread count.
+    src = str(Path(sc.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"r{threads}.json"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "stabcert.cli", "certify", grid_problem,
+                               "-o", str(report)], capture_output=True, text=True, env=env,
+                              timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_overlapped_cover_calls_nothing_the_tracer_wraps(grid_problem, tmp_path, monkeypatch):
+    # perfbench/tracing.py keeps one span stack for the process, so only the
+    # calling thread may enter a traced function.
+    tracing = _load_perfbench_tracing(monkeypatch)
+    monkeypatch.setattr(sc.certificate, "usable_cpus", lambda: 2)
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "stabcert" or n.startswith("stabcert."))]
+    threads = set()
+    for mod_name, names in tracing.TRACED.items():
+        for name in names:
+            fn = getattr(sys.modules[f"stabcert.{mod_name}"], name)
+
+            def spy(*args, _fn=fn, **kwargs):
+                threads.add(threading.current_thread())
+                return _fn(*args, **kwargs)
+
+            for m in modules:
+                for attr, value in list(vars(m).items()):
+                    if value is fn:
+                        monkeypatch.setattr(m, attr, spy)
+    cover_threads = []
+
+    def cover(*args):
+        cover_threads.append(threading.current_thread())
+        return sc.verify.resolvent_cover(*args)
+
+    monkeypatch.setattr(sc.certificate, "resolvent_cover", cover)
+    assert main(["certify", grid_problem, "-o", str(tmp_path / "r.json")]) == 0
+    assert threads == {threading.current_thread()}
+    assert len(cover_threads) == 1
+    assert (cover_threads[0] is not threading.current_thread()) == (_openblas_threads() is not None)
