@@ -37,7 +37,7 @@ from .errors import (
     SingularKernelBlock,
     SingularReducedBlock,
 )
-from .model import ComplexMatrix, as_complex_matrix, assemble_generator
+from .model import ComplexMatrix, as_matrix, assemble_generator
 from .normalize import NormalizedSystem
 
 __all__ = [
@@ -93,7 +93,8 @@ class DecoupledBlocks:
 
     ``gamma1_z`` is the Schur-complement damping block
     iota0* g iota0 - iota0* g kappa0 (z + kappa0* g kappa0)^-1 kappa0* g iota0,
-    ``gamma2`` the frequency-independent kernel block kappa0* g kappa0.
+    ``gamma2`` the frequency-independent kernel block kappa0* g kappa0 and
+    ``kernel_inv`` the inverse of the shifted kernel block z + gamma2.
     ``T1``/``T2`` are the unipotent decoupling transforms with their exact
     inverses (the off-diagonal blocks are nilpotent, so inversion flips a
     sign).
@@ -102,6 +103,7 @@ class DecoupledBlocks:
     z: complex
     gamma1_z: ComplexMatrix
     gamma2: ComplexMatrix
+    kernel_inv: ComplexMatrix
     T1: ComplexMatrix
     T1_inv: ComplexMatrix
     T2: ComplexMatrix
@@ -122,7 +124,7 @@ def decompose(C) -> HelmholtzFrames:
     Ties resolve into the range.  A zero matrix yields r = 0 with identity
     kernel frames and an empty invertible block.
     """
-    C = as_complex_matrix(C, "C")
+    C = as_matrix(C, "C")
     n1, n0 = C.shape
 
     U, s, Vh = np.linalg.svd(C)
@@ -149,7 +151,7 @@ def decompose(C) -> HelmholtzFrames:
 
 
 def _gamma_blocks(gamma, frames: HelmholtzFrames):
-    gamma = as_complex_matrix(gamma, "gamma")
+    gamma = as_matrix(gamma, "gamma")
     n0 = frames.n0
     if gamma.shape != (n0, n0):
         raise DimensionMismatch(f"gamma must be {n0} x {n0}, got {gamma.shape}")
@@ -178,14 +180,15 @@ def three_block_form(gamma, frames: HelmholtzFrames, z) -> ComplexMatrix:
     r, n0 = frames.r, frames.n0
     m = n0 + r
     Ct = frames.C_tilde
-    M = np.zeros((m, m), dtype=complex)
+    M = np.zeros((m, m), dtype=complex if z else np.result_type(G00, Ct))
     M[:r, :r] = G00
     M[:r, r : 2 * r] = -Ct.conj().T
     M[:r, 2 * r :] = G0k
     M[r : 2 * r, :r] = Ct
     M[2 * r :, :r] = Gk0
     M[2 * r :, 2 * r :] = Gkk
-    M += z * np.eye(m)
+    if z:
+        M += z * np.eye(m)
     return M
 
 
@@ -235,6 +238,7 @@ def decoupling_transforms(gamma, frames: HelmholtzFrames, z, c: float) -> Decoup
         z=z,
         gamma1_z=gamma1_z,
         gamma2=Gkk,
+        kernel_inv=S_inv,
         T1=T1,
         T1_inv=T1_inv,
         T2=T2,
@@ -291,7 +295,7 @@ def decoupled_solve(ns: NormalizedSystem, frames: HelmholtzFrames, z, F) -> np.n
         U12 = np.linalg.solve(M2, Fp[: 2 * r])
     except np.linalg.LinAlgError as exc:
         raise SingularReducedBlock(f"reduced block singular at z = {z}") from exc
-    U3 = np.linalg.solve(z * np.eye(n0 - r) + blocks.gamma2, Fp[2 * r :])
+    U3 = blocks.kernel_inv @ Fp[2 * r :]
 
     x = blocks.T2 @ np.concatenate([U12, U3])
     u = frames.iota0 @ x[:r] + frames.kappa0 @ x[2 * r :]

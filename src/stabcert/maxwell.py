@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, ParameterOutOfRange
-from .model import BlockSystem, ComplexMatrix, validate_system
+from .model import BlockSystem, ComplexMatrix, _float_or_complex, validate_system
 
 __all__ = ["GridSpec", "DiscreteCurl", "build_curl", "build_maxwell_system"]
 
@@ -95,16 +95,19 @@ def build_curl(spec: GridSpec) -> DiscreteCurl:
     Dy = np.kron(np.kron(eye, Dc), eye)
     Dz = np.kron(np.kron(eye, eye), Dc)
     Z = np.zeros((N**3, N**3))
-    K = np.block([[Z, -Dz, Dy], [Dz, Z, -Dx], [-Dy, Dx, Z]]).astype(complex)
-    grad = np.vstack([Dx, Dy, Dz]).astype(complex)
+    K = np.block([[Z, -Dz, Dy], [Dz, Z, -Dx], [-Dy, Dx, Z]])
+    grad = np.vstack([Dx, Dy, Dz])
     return DiscreteCurl(K=K, grad=grad)
 
 
 def _material_diagonal(value, n_cells: int, name: str) -> np.ndarray:
-    """Expand a scalar or per-cell profile to a per-component diagonal."""
-    arr = np.asarray(value, dtype=complex)
+    """Expand a scalar or per-cell profile to a per-component diagonal.
+
+    A real profile stays real; a complex one stays complex.
+    """
+    arr = _float_or_complex(value)
     if arr.ndim == 0:
-        return np.full(3 * n_cells, complex(arr))
+        return np.full(3 * n_cells, arr)
     if arr.ndim == 1 and arr.size == n_cells:
         return np.tile(arr, 3)
     if arr.ndim == 1 and arr.size == 3 * n_cells:

@@ -20,6 +20,14 @@ layout, :func:`assemble_generator`, and the square check, :func:`as_square_matri
 Coercivity is always realized as the smallest eigenvalue of the Hermitian
 part (1/2)(M + M*): exact and deterministic in finite dimensions, with the
 symmetrization applied before the eigensolve to kill rounding asymmetry.
+
+Real problems run in real arithmetic.  ``validate_system`` keeps a block in
+float64 when every imaginary part is +0.0, as for a Maxwell grid with real
+materials; an imaginary part of -0.0 keeps the block complex, so a dumped
+problem file loads back bit for bit.  Every later array takes the dtype
+numpy gives the products of the blocks, so the eigensolves, SVDs and
+``eigh`` calls of a real problem run on real LAPACK.  Only the shifts z - B
+by complex frequencies z, in the audit and the oracles, are complex.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import DimensionMismatch, NotCoercive, NotHermitian, ParameterOutOf
 __all__ = [
     "ComplexMatrix",
     "BlockSystem",
-    "as_complex_matrix",
+    "as_matrix",
     "as_square_matrix",
     "assemble_generator",
     "hermitian_part",
@@ -43,13 +51,23 @@ __all__ = [
     "validate_system",
 ]
 
-# All bounded operators in this package are plain dense complex arrays.
+# All bounded operators in this package are plain dense arrays: float64 when
+# the operator is real, complex128 otherwise.
 ComplexMatrix = np.ndarray
 
 
-def as_complex_matrix(a, name: str = "matrix") -> ComplexMatrix:
-    """Coerce ``a`` to a 2-D complex array with finite entries."""
-    M = np.asarray(a, dtype=complex)
+def _float_or_complex(a) -> np.ndarray:
+    """``a`` as complex128 when it is complex and as float64 otherwise."""
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
+def as_matrix(a, name: str = "matrix") -> ComplexMatrix:
+    """Coerce ``a`` to a 2-D float64 or complex128 array with finite entries.
+
+    Real input is never widened to complex (:func:`_float_or_complex`).
+    """
+    M = _float_or_complex(a)
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {M.shape}")
     if M.size and not np.all(np.isfinite(M)):
@@ -58,8 +76,8 @@ def as_complex_matrix(a, name: str = "matrix") -> ComplexMatrix:
 
 
 def as_square_matrix(a, name: str) -> ComplexMatrix:
-    """:func:`as_complex_matrix`, refusing a matrix that is not square."""
-    M = as_complex_matrix(a, name)
+    """:func:`as_matrix`, refusing a matrix that is not square."""
+    M = as_matrix(a, name)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {M.shape}")
     return M
@@ -75,12 +93,12 @@ def assemble_generator(gamma, D) -> ComplexMatrix:
     decoupled block, whose damping is gamma1(z) and coupling C_tilde.
     """
     gamma = as_square_matrix(gamma, "gamma")
-    D = as_complex_matrix(D, "D")
+    D = as_matrix(D, "D")
     n0 = gamma.shape[0]
     if D.shape[1] != n0:
         raise DimensionMismatch(f"D must have {n0} columns, got {D.shape}")
     n1 = D.shape[0]
-    B = np.zeros((n0 + n1, n0 + n1), dtype=complex)
+    B = np.zeros((n0 + n1, n0 + n1), dtype=np.result_type(gamma, D))
     B[:n0, :n0] = -gamma
     B[:n0, n0:] = D.conj().T
     B[n0:, :n0] = -D
@@ -113,7 +131,7 @@ def hermitian_min_eig(M) -> float:
 
 def operator_norm(M) -> float:
     """Largest singular value.  Empty matrices have norm zero."""
-    M = as_complex_matrix(M)
+    M = as_matrix(M)
     if M.size == 0:
         return 0.0
     return float(np.linalg.svd(M, compute_uv=False)[0])
@@ -169,6 +187,17 @@ def _check_hermitian(M: ComplexMatrix, which: str) -> None:
         raise NotHermitian(which, deviation / scale)
 
 
+def _real_if_exact(M: ComplexMatrix) -> ComplexMatrix:
+    """The real part of ``M`` when every imaginary part is +0.0, else ``M``.
+
+    The test reads bits, so an imaginary -0.0 keeps ``M`` complex: the real
+    part alone would not dump back to the same problem file.
+    """
+    if M.dtype.kind == "c" and not M.imag.view(np.uint64).any():
+        return M.real.copy()
+    return M
+
+
 def validate_system(alpha, beta, gamma, C) -> BlockSystem:
     """Validate the standing assumptions and package the system.
 
@@ -181,7 +210,9 @@ def validate_system(alpha, beta, gamma, C) -> BlockSystem:
     Returns
     -------
     BlockSystem
-        With the measured coercivity constants attached.
+        With the measured coercivity constants attached.  Each block is
+        float64 when it is real or every imaginary part is +0.0, and
+        complex128 otherwise.
 
     Raises
     ------
@@ -193,10 +224,10 @@ def validate_system(alpha, beta, gamma, C) -> BlockSystem:
     NotCoercive
         If any of the three coercivity constants is at most 1e-10.
     """
-    A = as_square_matrix(alpha, "alpha")
-    B = as_square_matrix(beta, "beta")
-    G = as_complex_matrix(gamma, "gamma")
-    Cm = as_complex_matrix(C, "C")
+    A = _real_if_exact(as_square_matrix(alpha, "alpha"))
+    B = _real_if_exact(as_square_matrix(beta, "beta"))
+    G = _real_if_exact(as_matrix(gamma, "gamma"))
+    Cm = _real_if_exact(as_matrix(C, "C"))
     n0, n1 = A.shape[0], B.shape[0]
     if G.shape != (n0, n0):
         raise DimensionMismatch(f"gamma must be {n0} x {n0}, got {G.shape}")

@@ -31,7 +31,7 @@ from .errors import (
     ZeroFrequency,
 )
 from .model import (
-    ComplexMatrix, as_complex_matrix, as_square_matrix, assemble_generator, hermitian_part,
+    ComplexMatrix, as_matrix, as_square_matrix, assemble_generator, hermitian_part,
 )
 from .normalize import NormalizedSystem, map_state
 from .helmholtz import HelmholtzFrames, decompose
@@ -388,8 +388,8 @@ def admissible_initial(beta, basis, v0) -> tuple[np.ndarray, float]:
     and ``residual = ||v_adm - v0||``; the part outside the admissible set
     couples only to frozen kernel modes and cannot decay.
     """
-    beta = as_complex_matrix(beta, "beta")
-    basis = as_complex_matrix(basis, "basis")
+    beta = as_matrix(beta, "beta")
+    basis = as_matrix(basis, "basis")
     v0 = np.asarray(v0, dtype=complex)
     n1 = basis.shape[0]
     if beta.shape != (n1, n1) or v0.shape != (n1,):
@@ -437,8 +437,8 @@ def block_inverse(A, Bop, Cop) -> ComplexMatrix:
     assembled block matrix it reproduces the identity.
     """
     A = as_square_matrix(A, "A")
-    Bop = as_complex_matrix(Bop, "Bop")
-    Cop = as_complex_matrix(Cop, "Cop")
+    Bop = as_matrix(Bop, "Bop")
+    Cop = as_matrix(Cop, "Cop")
     n0 = A.shape[0]
     if Bop.shape[0] != n0 or Bop.shape[0] != Bop.shape[1]:
         raise DimensionMismatch(

@@ -58,3 +58,26 @@ def assemble_shifted(gamma, D, z):
     Bz[:n0, n0:] -= D.conj().T
     Bz[n0:, :n0] += D
     return Bz
+
+
+def random_real_block_system(rng, n0, n1, r, c_gamma=0.3):
+    """A random system whose four blocks are real: symmetric weights, real gamma and C.
+
+    The r nonzero singular values of C lie in [0.5, 2], so the certificate's
+    constants are well conditioned; near a rank drop they are not, and two
+    correct computations of a near-zero abscissa agree only to rounding
+    relative to ||B||.
+    """
+
+    def orthogonal(n):
+        return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+    def spd(n):
+        Q = orthogonal(n)
+        return Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.T
+
+    Q = orthogonal(n0)
+    S = rng.standard_normal((n0, n0))
+    gamma = Q @ np.diag(rng.uniform(c_gamma, c_gamma + 2.0, n0)) @ Q.T + 0.25 * (S - S.T)
+    C = orthogonal(n1)[:, :r] @ np.diag(rng.uniform(0.5, 2.0, r)) @ orthogonal(n0)[:, :r].T
+    return sc.validate_system(spd(n0), spd(n1), gamma, C)

@@ -22,7 +22,7 @@ from stabcert._blas import _openblas_threads
 from stabcert.certificate import _small_frequency_audit, prepare
 from stabcert.verify import _resolvent_norms, admissible_start, random_components
 
-from helpers import haar_unitary, random_block_system, random_coercive
+from helpers import haar_unitary, random_block_system, random_coercive, random_real_block_system
 
 
 class TestDampingLowerBound:
@@ -611,3 +611,57 @@ class TestOverlappedCover:
         with pytest.raises(CertificateFailure, match=f"{where} failed"):
             sc.audit_system(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]]))
         assert (threading.active_count(), blas and blas[0]()) == before
+
+
+_BLOCKS = ("alpha", "beta", "gamma", "C")
+
+
+def _complex_twin(s):
+    """The same system with its four blocks stored as complex128."""
+    return dataclasses.replace(s, **{k: getattr(s, k).astype(complex) for k in _BLOCKS})
+
+
+def _assert_same_audit(real, twin):
+    assert real.checks == twin.checks
+    for x, y in [
+        (real.certificate.delta_cert, twin.certificate.delta_cert),
+        (real.certificate.M_total, twin.certificate.M_total),
+        (real.abscissa, twin.abscissa),
+    ]:
+        assert x == pytest.approx(y, rel=1e-12, abs=0.0)
+
+
+class TestRealArithmetic:
+    """A real system runs in real arithmetic and agrees with its complex twin."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: sc.build_maxwell_system(sc.GridSpec(N=3)), _hetero_grid],
+        ids=["homogeneous", "per-cell"],
+    )
+    def test_grid_agrees_with_its_complex_twin(self, build):
+        s = build()
+        twin = _complex_twin(s)
+        assert {getattr(s, k).dtype for k in _BLOCKS} == {np.dtype(float)}
+        assert prepare(s).B_res.dtype == np.float64
+        assert prepare(twin).B_res.dtype == np.complex128
+        real = sc.audit_system(s)
+        assert all(real.checks.values())
+        _assert_same_audit(real, sc.audit_system(twin))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n0=st.integers(1, 4),
+        n1=st.integers(1, 4),
+        r=st.integers(0, 4),
+    )
+    def test_random_real_systems_agree_with_their_complex_twins(self, seed, n0, n1, r):
+        s = random_real_block_system(np.random.default_rng(seed), n0, n1, min(r, n0, n1))
+        try:
+            real = sc.audit_system(s)
+        except sc.StabcertError as exc:
+            with pytest.raises(type(exc)):
+                sc.audit_system(_complex_twin(s))
+            return
+        _assert_same_audit(real, sc.audit_system(_complex_twin(s)))

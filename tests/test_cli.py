@@ -65,10 +65,36 @@ def test_problem_round_trip(tmp_path):
     assert text.count("\n") == 1
     system = load_problem(str(problem))
     legacy = load_problem(_write_problem(tmp_path / "legacy.json", *matrices, **LEGACY))
+    # Every stored imaginary part is +0.0, so each block loads as float64,
+    # and its real parts bit for bit (-0.0 included).
     for name in ("alpha", "beta", "gamma", "C"):
-        built = np.asarray(getattr(direct, name), dtype=complex).tobytes()
-        assert getattr(system, name).tobytes() == built
-        assert getattr(legacy, name).tobytes() == built
+        built = getattr(direct, name)
+        assert built.dtype == np.float64
+        for loaded in (system, legacy):
+            assert getattr(loaded, name).dtype == np.float64
+            assert getattr(loaded, name).tobytes() == built.tobytes()
+    again = tmp_path / "again.json"
+    cli.dump_problem(system, str(again))
+    assert again.read_bytes() == problem.read_bytes()
+
+
+@pytest.mark.parametrize("imag", [-0.0, 0.25])
+def test_an_imaginary_part_keeps_its_block_complex_through_a_round_trip(tmp_path, imag):
+    # One stored imaginary part of gamma set to -0.0 or 0.25: gamma loads as
+    # complex128, the other blocks as float64, and a dump rewrites the file.
+    direct = sc.build_maxwell_system(sc.GridSpec(N=3, h=0.3))
+    payload = _payload(direct.alpha, direct.beta, direct.gamma, direct.C)
+    payload["gamma"][0][1][1] = imag
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    system = load_problem(str(problem))
+    for name in ("alpha", "beta", "C"):
+        assert getattr(system, name).dtype == np.float64
+        assert getattr(system, name).tobytes() == getattr(direct, name).tobytes()
+    expected = direct.gamma.astype(complex)
+    expected[0, 1] = complex(0.0, imag)
+    assert system.gamma.dtype == np.complex128
+    assert system.gamma.tobytes() == expected.tobytes()
     again = tmp_path / "again.json"
     cli.dump_problem(system, str(again))
     assert again.read_bytes() == problem.read_bytes()

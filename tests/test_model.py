@@ -3,6 +3,7 @@ import pytest
 
 import stabcert as sc
 from stabcert import DimensionMismatch, NotCoercive, NotHermitian, ParameterOutOfRange
+from stabcert.model import as_matrix
 from stabcert.verify import resolvent_cover
 
 from helpers import haar_unitary
@@ -59,6 +60,61 @@ class TestValidateSystem:
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             sc.validate_system([[np.nan, 0], [0, 1]], np.eye(2), np.eye(2), np.eye(2))
+
+
+_BLOCKS = ("alpha", "beta", "gamma", "C")
+
+
+def _unit_blocks():
+    """Real blocks of a valid 2 x 2 system."""
+    C = np.array([[1.0, 2.0], [0.0, -1.0]])
+    return {"alpha": np.eye(2), "beta": 2 * np.eye(2), "gamma": np.eye(2), "C": C}
+
+
+class TestDtypeRule:
+    @pytest.mark.parametrize("dtype", [int, float, complex])
+    def test_real_blocks_and_positive_zero_imaginary_parts_give_float64(self, dtype):
+        blocks = _unit_blocks()
+        s = sc.validate_system(*(blocks[k].astype(dtype) for k in _BLOCKS))
+        for k in _BLOCKS:
+            assert getattr(s, k).dtype == np.float64
+            assert getattr(s, k).tobytes() == blocks[k].tobytes()
+
+    @pytest.mark.parametrize("name", _BLOCKS)
+    @pytest.mark.parametrize("imag", [-0.0, 0.25])
+    def test_a_negative_zero_or_nonzero_imaginary_part_keeps_its_block_complex(self, name, imag):
+        blocks = {k: v.astype(complex) for k, v in _unit_blocks().items()}
+        blocks[name][0, 1] = complex(blocks[name][0, 1].real, imag)
+        if name in ("alpha", "beta"):  # the weights stay Hermitian
+            blocks[name][1, 0] = blocks[name][0, 1].conjugate()
+        s = sc.validate_system(*(blocks[k] for k in _BLOCKS))
+        for k in _BLOCKS:
+            expected = np.complex128 if k == name else np.float64
+            assert getattr(s, k).dtype == expected
+        kept = getattr(s, name)
+        assert kept.tobytes() == blocks[name].tobytes()
+        assert np.signbit(kept[0, 1].imag) == np.signbit(imag)
+
+    @pytest.mark.parametrize(
+        "a, dtype",
+        [
+            ([[1, 2]], np.float64),
+            (np.ones((1, 2), dtype=np.float32), np.float64),
+            (np.ones((1, 2)), np.float64),
+            (np.ones((1, 2), dtype=np.complex64), np.complex128),
+            ([[1.0, 2j]], np.complex128),
+            (np.array([[complex(1.0, -0.0)]]), np.complex128),
+        ],
+    )
+    def test_as_matrix_never_widens_real_input(self, a, dtype):
+        M = as_matrix(a)
+        assert M.dtype == dtype
+        np.testing.assert_array_equal(M, np.asarray(a))
+
+    def test_real_system_assembles_a_real_generator(self):
+        s = sc.validate_system(*(_unit_blocks()[k] for k in _BLOCKS))
+        assert sc.assemble_generator(s.gamma, s.C).dtype == np.float64
+        assert sc.assemble_generator(s.gamma, s.C.astype(complex)).dtype == np.complex128
 
 
 class TestHermitianMinEig:
