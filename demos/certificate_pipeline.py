@@ -76,6 +76,8 @@ def main():
           % (-cover.a, *cover.re_range, cover.im_range[1], cover.im_range[1]))
     print("    %d evaluations, largest enclosure %.3f (bound %.2f), passed: %s"
           % (cover.evaluations, cover.max_enclosure, cert.M_total, cover.passed))
+    print("  trajectory on B_res: |G F - F B_res| / |G| = %.1e, |F* F - I| = %.1e"
+          % (audit.restriction_residual, audit.frame_defect))
     print("\nsound: %s (certified rate below sharp rate, resolvent covered below bound)"
           % (audit.checks["spectral_abscissa_sound"] and cover.passed))
 

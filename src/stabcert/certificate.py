@@ -52,7 +52,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroRangeOperator,
 )
-from .model import BlockSystem, ComplexMatrix, assemble_generator, operator_norm
+from .model import BlockSystem, ComplexMatrix, operator_norm
 from .normalize import NormalizedSystem, normalize_system
 from .helmholtz import HelmholtzFrames, decompose, restricted_generator
 from .verify import (
@@ -63,8 +63,8 @@ from .verify import (
     fit_decay_rate,
     random_components,
     resolvent_cover,
-    simulate,
-    spectral_abscissa,
+    restricted_simulate,
+    restriction_defects,
 )
 
 __all__ = [
@@ -190,8 +190,11 @@ class SystemAudit:
     """A certificate together with the independent oracles that check it.
 
     ``cover`` is the resolvent cover of Re z >= -delta_cert/2 against
-    M_total, ``trace`` the trajectory of a random admissible start, and
-    ``checks`` the verdict of each comparison between certificate and oracle.
+    M_total, ``trace`` the trajectory of a random admissible start,
+    ``restriction_residual`` and ``frame_defect`` the two defects of
+    :func:`~stabcert.verify.restriction_defects` that tie B_res to the full
+    generator, and ``checks`` the verdict of each comparison between
+    certificate and oracle.
     """
 
     certificate: StabilityCertificate
@@ -200,6 +203,8 @@ class SystemAudit:
     trace: TrajectoryTrace
     fitted_rate: float
     projection_residual: float
+    restriction_residual: float
+    frame_defect: float
     checks: dict
 
 
@@ -362,10 +367,11 @@ def _small_frequency_audit(
 _AUDIT_EVALS = 128  # dense resolvent evaluations per pass of the small-frequency cover
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
 # and the oracle cover take dense m x m SVDs, a few dozen in practice: with
-# per-cell materials at N = 5 (m = 623, admitted) audit_system took 7.5 s on
-# 2 cores, 6.8 s of it in 29 cover evaluations on one BLAS thread, overlapped
-# with the other oracles.  A cover that runs into its cap of 802 would take
-# about three minutes there; N = 6 (m = 1064) is refused.
+# per-cell materials at N = 5 (m = 623, admitted) audit_system took 1.8 s on
+# 2 cores, 1.3 s of it in the cover's 9 centres (5 SVDs, one per conjugate
+# pair) on one BLAS thread, overlapped with the other oracles.  A cover that
+# runs into its cap of 802 centres would take about 80 s there (401 SVDs of
+# about 0.19 s each); N = 6 (m = 1064) is refused.
 _MAX_AUDIT_DIM = 640
 
 
@@ -487,17 +493,19 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
 def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     """Certify a system and check the certificate against every oracle.
 
-    The oracles follow one fixed recipe: the spectral abscissa of the
-    restricted generator, a cover proving its resolvent norm at most
-    M_total (relative slack 1e-6) on Re z >= -delta_cert/2, which holds
-    both lines the sweep verdicts name, and the decay rate fitted to an
-    801-sample trajectory of a random admissible start drawn from ``seed``.
-    ``checks`` holds one verdict per comparison.
+    The oracles follow one fixed recipe: a cover proving the resolvent norm
+    of the restricted generator at most M_total (relative slack 1e-6) on
+    Re z >= -delta_cert/2, which holds both lines the sweep verdicts name;
+    one eigendecomposition of the restricted generator, which gives its
+    spectral abscissa and the 801-sample trajectory of a random admissible
+    start drawn from ``seed``, with the decay rate fitted to it; and the
+    defects that make that trajectory the full generator's (at most
+    _RESTRICTION_TOL each).  ``checks`` holds one verdict per comparison.
 
     Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).
     For a generator of at least _OVERLAP_MIN_DIM rows on more than one CPU,
-    the cover runs on a worker thread while this one computes the abscissa
-    and the trajectory; the results are the same as in the serial order.
+    the cover runs on a worker thread while this one runs the other
+    oracles; the results are the same as in the serial order.
     """
     with single_blas_thread() as pinned:
         prep = prepare(sys)
@@ -506,14 +514,12 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
         if pinned and prep.B_res.shape[0] >= _OVERLAP_MIN_DIM and usable_cpus() > 1:
             worker = _Worker(resolvent_cover, *cover_args)
             try:
-                abscissa = spectral_abscissa(prep.B_res)
-                trace, fitted, residual = _trajectory(prep, seed, abscissa)
+                abscissa, trace, fitted, residual, defects = _spectral_oracles(prep, seed)
             finally:
                 cover = worker.result()  # joins; a cover error is raised here
         else:
-            abscissa = spectral_abscissa(prep.B_res)
             cover = resolvent_cover(*cover_args)
-            trace, fitted, residual = _trajectory(prep, seed, abscissa)
+            abscissa, trace, fitted, residual, defects = _spectral_oracles(prep, seed)
 
     norms = trace.state_norms
     checks = {
@@ -525,6 +531,7 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
         "norms_non_increasing": bool(
             np.all(np.diff(norms) <= 1e-10 * max(norms[0], 1.0))
         ),
+        "restriction_consistent": all(d <= _RESTRICTION_TOL for d in defects),
     }
     return SystemAudit(
         certificate=cert,
@@ -533,22 +540,38 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
         trace=trace,
         fitted_rate=fitted,
         projection_residual=residual,
+        restriction_residual=defects[0],
+        frame_defect=defects[1],
         checks=checks,
     )
 
 
-def _trajectory(prep: PreparedProblem, seed: int, abscissa: float):
-    """The trajectory oracle: ``(trace, fitted decay rate, projection residual)``."""
+# Largest relative residual ||G F - F B_res|| / ||G|| and frame defect
+# ||F* F - I|| (Frobenius norms) for which the trajectory computed on B_res
+# counts as the full generator's.  Measured: at most 1.6e-15 and 1.7e-14 on
+# the benchmark grids and the certified corpus.
+_RESTRICTION_TOL = 1e-10
+
+
+def _spectral_oracles(prep: PreparedProblem, seed: int):
+    """The oracles that read one eig of B_res, and the defects that tie it to G.
+
+    Returns ``(abscissa, trace, fitted decay rate, projection residual,
+    (restriction residual, frame defect))``.
+    """
     ns = prep.normalized
     u0, v_raw = random_components(seed, ns.n0, ns.n1)
     U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
+    eig = np.linalg.eig(prep.B_res)
+    abscissa = float(eig[0].real.max())
 
     # The rounding-level part of U0 in ker(D*) never decays; end the run
     # while the decaying part, near exp(-30), is still far above it, and
     # at t = 20 at the latest.
     t_end = 30.0 / max(-abscissa, 1.5)
-    trace = simulate(assemble_generator(ns.gamma_tilde, ns.D), U0, t_end, 801)
-    return trace, fit_decay_rate(trace), residual
+    trace = restricted_simulate(prep.B_res, prep.frames, U0, t_end, 801, eig)
+    defects = restriction_defects(ns.gamma_tilde, ns.D, prep.frames, prep.B_res)
+    return abscissa, trace, fit_decay_rate(trace), residual, defects
 
 
 # Smallest restricted generator whose cover audit_system overlaps with the
@@ -557,6 +580,13 @@ def _trajectory(prep: PreparedProblem, seed: int, abscissa: float):
 # benchmark corpus (m <= 12) took 0.80 s overlapped against 0.53 s serial.
 # Random systems at m = 16 to 64 showed no clear difference either way, and
 # the N = 3 grids (m = 133) took a fifth less time overlapped; 2 cores.
+# numpy 2.4 releases the lock in its linalg kernels only above about 500
+# outputs: a single-matrix svd(compute_uv=False), eigvals and eigvalsh at
+# m = 133 hold it, and so does a stacked SVD of 3 x 133 values, while one of
+# 4 x 133 and eig (which also returns the vectors) release it.  Two threads
+# running the same call at m = 133 took longer than one thread running both
+# calls in the first cases (median speed-up 0.55 to 0.93) and gained 1.4 to
+# 1.6 times in the others.
 _OVERLAP_MIN_DIM = 64
 
 

@@ -35,9 +35,9 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .errors import StabcertError
-from .model import assemble_generator, validate_system
+from .model import validate_system
 from .normalize import normalize_system
-from .helmholtz import decompose, decoupling_transforms
+from .helmholtz import decompose, decoupling_transforms, restricted_generator
 from .certificate import FORMULAS, audit_system, prepare, refuse_oversized
 from .maxwell import GridSpec, build_maxwell_system
 from .verify import (
@@ -45,7 +45,7 @@ from .verify import (
     fit_decay_rate,
     gp_sweep,
     random_components,
-    simulate,
+    restricted_simulate,
 )
 
 SCHEMA_VERSION = 1
@@ -170,6 +170,8 @@ def _cmd_certify(args) -> int:
         "oracles": {
             "spectral_abscissa_restricted": audit.abscissa,
             "fitted_decay_rate": audit.fitted_rate,
+            "restriction_residual": audit.restriction_residual,
+            "frame_defect": audit.frame_defect,
         },
         "cover": dataclasses.asdict(audit.cover),
         "trajectory": {
@@ -217,8 +219,10 @@ def _cmd_simulate(args) -> int:
         u0, v_raw = random_components(args.seed, n0, n1)
     frames = decompose(ns.D)
     U0, residual = admissible_start(ns, frames, u0, v_raw)
-    B_norm = assemble_generator(ns.gamma_tilde, ns.D)
-    trace = simulate(B_norm, U0, args.t_end, args.samples)
+    # The routine certify's trajectory takes, so a run with certify's seed,
+    # t_end and samples reproduces its trajectory exactly.
+    B_res = restricted_generator(ns.gamma_tilde, frames)
+    trace = restricted_simulate(B_res, frames, U0, args.t_end, args.samples)
     try:
         fitted = fit_decay_rate(trace)
     except StabcertError:

@@ -46,6 +46,7 @@ __all__ = [
     "decompose",
     "three_block_form",
     "restricted_generator",
+    "frame_embedding",
     "decoupling_transforms",
     "decoupled_solve",
 ]
@@ -195,6 +196,21 @@ def three_block_form(gamma, frames: HelmholtzFrames, z) -> ComplexMatrix:
 def restricted_generator(gamma, frames: HelmholtzFrames) -> ComplexMatrix:
     """Generator of the semigroup restricted to H0 x ran(C), in frame coordinates."""
     return -three_block_form(gamma, frames, 0.0)
+
+
+def frame_embedding(frames: HelmholtzFrames) -> ComplexMatrix:
+    """The embedding F of frame coordinates (iota0* u, iota1* v, kappa0* u) into H0 x H1.
+
+    F is the (n0 + n1) x (n0 + r) matrix [[iota0, 0, kappa0], [0, iota1, 0]],
+    so F* F = I, and the generator G of :func:`~stabcert.model.assemble_generator`
+    satisfies G F = F B_res for B_res = :func:`restricted_generator`.
+    """
+    n0, r = frames.n0, frames.r
+    F = np.zeros((n0 + frames.n1, n0 + r), dtype=np.result_type(frames.iota0, frames.iota1))
+    F[:n0, :r] = frames.iota0
+    F[n0:, r : 2 * r] = frames.iota1
+    F[:n0, 2 * r :] = frames.kappa0
+    return F
 
 
 def decoupling_transforms(gamma, frames: HelmholtzFrames, z, c: float) -> DecoupledBlocks:

@@ -6,6 +6,13 @@ dense eigensolve, trajectories from the matrix exponential, and decay
 rates from a log-linear fit.  These are the oracles the certified
 constants are checked against.
 
+The trajectory of the full generator G is computed on the restricted
+generator B_res (:func:`restricted_simulate`), from the eigendecomposition
+that also gives the spectral abscissa.  That rests on G F = F B_res and
+F* F = I for the frame embedding F, and :func:`restriction_defects`
+measures both on the computed matrices; :func:`simulate` on G itself stays
+the reference it is tested against.
+
 Every resolvent norm is one dense SVD, :func:`_resolvent_norms`.  The
 resolvent oracle of the certificate is :func:`resolvent_cover`, a
 Neumann-series cover of a whole half-plane; :func:`gp_sweep` samples one
@@ -31,10 +38,10 @@ from .errors import (
     ZeroFrequency,
 )
 from .model import (
-    ComplexMatrix, as_matrix, as_square_matrix, assemble_generator, hermitian_part,
+    ComplexMatrix, as_matrix, as_square_matrix, assemble_generator, hermitian_part, operator_norm,
 )
 from .normalize import NormalizedSystem, map_state
-from .helmholtz import HelmholtzFrames, decompose
+from .helmholtz import HelmholtzFrames, decompose, frame_embedding
 
 __all__ = [
     "ResolventSweepReport",
@@ -48,6 +55,8 @@ __all__ = [
     "gp_sweep",
     "spectral_abscissa",
     "simulate",
+    "restricted_simulate",
+    "restriction_defects",
     "fit_decay_rate",
     "admissible_initial",
     "random_components",
@@ -78,8 +87,10 @@ class CoverReport:
 
     ``re_range`` x ``im_range`` is the rectangle the squares cover, ``h``
     the largest eigenvalue of the Hermitian part of B, ``evaluations`` the
-    dense resolvent norms spent, and ``max_enclosure`` the largest enclosure
-    of a covered square (0.0 when no square is covered).
+    square centres evaluated, and ``max_enclosure`` the largest enclosure
+    of a covered square (0.0 when no square is covered).  The rectangle's
+    half-height is ||B|| + 1/bound, so the record depends on the operator,
+    not on the frames it is written in, up to rounding.
     """
 
     a: float
@@ -145,19 +156,26 @@ def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(norms, singular_mask)``.  A point is singular when
     sigma_min <= 1e-14 sigma_max, which separates genuine spectrum from mere
     ill-conditioning at dense desk scale; its norm entry is +inf.  The SVDs
-    run in stacks whose size follows from the matrix size.
+    run in stacks whose size follows from the matrix size.  For a real B a
+    pair of conjugate points costs one SVD.
     """
     m = B.shape[0]
-    zs = np.asarray(zs, dtype=complex)
-    norms = np.zeros(zs.shape)
-    singular = np.zeros(zs.shape, dtype=bool)
+    zs = np.asarray(zs, dtype=complex).ravel()
     if m == 0:
-        return norms, singular
+        return np.zeros(zs.shape), np.zeros(zs.shape, dtype=bool)
+    if np.isrealobj(B):
+        # conj(z) I - B is the conjugate of z I - B, with the same singular
+        # values (bit for bit with numpy 2.4's OpenBLAS): one SVD per conjugate pair.
+        shifts, back = np.unique(np.where(zs.imag < 0, zs.conj(), zs), return_inverse=True)
+    else:
+        shifts, back = zs, slice(None)
+    norms = np.zeros(shifts.shape)
+    singular = np.zeros(shifts.shape, dtype=bool)
     eye = np.eye(m)
     chunk = max(1, _RESOLVENT_STACK_BYTES // (16 * m * m))
-    for start in range(0, zs.size, chunk):
+    for start in range(0, shifts.size, chunk):
         part = slice(start, start + chunk)
-        shifted = zs[part, None, None] * eye  # one k x m x m stack, shifted in place
+        shifted = shifts[part, None, None] * eye  # one k x m x m stack, shifted in place
         shifted -= B
         s = np.linalg.svd(shifted, compute_uv=False)
         smin, smax = s[:, -1], s[:, 0]
@@ -165,7 +183,7 @@ def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
         singular[part] = bad
         with np.errstate(divide="ignore"):
             norms[part] = np.where(bad, math.inf, 1.0 / smin)
-    return norms, singular
+    return norms[back], singular[back]
 
 
 def resolvent_norm(B, z) -> float:
@@ -223,21 +241,23 @@ def resolvent_cover(B, a: float, bound: float) -> CoverReport:
     """Prove ||(z - B)^-1|| <= bound on the whole half-plane Re z >= -a.
 
     Let h be the largest eigenvalue of the Hermitian part of B and
-    R = sqrt(||B||_1 ||B||_inf) + 1/bound; the square root bounds ||B||.
-    Outside the rectangle [-a, h + 1/bound] x [-R, R] two closed-form
-    bounds hold, each at most ``bound``: ||R(z)|| <= 1/(Re z - h) by
-    dissipativity, and ||R(z)|| <= 1/(|z| - ||B||) by the Neumann series.
-    The rectangle is covered by a row of squares of side
-    max(width, min(2R, 0.5)) whose left edge is Re z = -a, refined as in
-    :func:`_neumann_squares` with at most _COVER_EVALS dense evaluations;
-    when h + 1/bound < -a the rectangle is empty and needs none.  A cover
-    that does not finish returns ``passed`` false instead of raising.
+    R = ||B|| + 1/bound, where ||B||, the largest singular value (one SVD),
+    does not depend on the orthonormal basis B is written in.  Outside the
+    rectangle [-a, h + 1/bound] x [-R, R] two closed-form bounds hold, each
+    at most ``bound``: ||R(z)|| <= 1/(Re z - h) by dissipativity, and
+    ||R(z)|| <= 1/(|z| - ||B||) by the Neumann series.  The rectangle is
+    covered by a row of squares of side max(width, min(2R, 0.5)) whose left
+    edge is Re z = -a, refined as in :func:`_neumann_squares` with at most
+    _COVER_EVALS dense evaluations (counted per centre, although a real B
+    pays one SVD per conjugate pair); when h + 1/bound < -a the rectangle is
+    empty and needs none.  A cover that does not finish returns ``passed``
+    false instead of raising.
     """
     if not (math.isfinite(a) and 0 < bound < math.inf):
         raise ParameterOutOfRange(f"need a finite a and a finite positive bound, got {a!r}, {bound!r}")
     B = as_square_matrix(B, "B")
     h = _max_hermitian_eig(B) if B.size else -math.inf
-    R = (math.sqrt(np.linalg.norm(B, 1) * np.linalg.norm(B, np.inf)) if B.size else 0.0) + 1.0 / bound
+    R = operator_norm(B) + 1.0 / bound
     x0, x1 = -a, h + 1.0 / bound
     side = max(x1 - x0, min(2.0 * R, 0.5))
     n = math.ceil(2.0 * R / side)
@@ -304,7 +324,37 @@ def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
     ``scipy.linalg.expm(B dt)`` is repeated, the only path that loads scipy.
     """
     B = as_square_matrix(B, "B")
-    n = B.shape[0]
+    U0, times = _trajectory_input(U0, B.shape[0], t_end, samples)
+    norms, method = _propagate(B, U0, times)
+    return TrajectoryTrace(times=times, state_norms=norms, method=method)
+
+
+def restricted_simulate(
+    B_res, frames: HelmholtzFrames, U0, t_end: float, samples: int, eig=None
+) -> TrajectoryTrace:
+    """:func:`simulate` for the full generator G = [[-gamma, D*], [-D, 0]], run on B_res.
+
+    ``frames`` are the frames of D and ``B_res`` the restricted generator
+    built from them.  With F from :func:`~stabcert.helmholtz.frame_embedding`,
+    U0 = (u, v) splits into F x0, x0 = F* U0, and its ker(D*) part
+    k = kappa1* v.  Since G F = F B_res and G maps ker(D*) to zero,
+    ||exp(t G) U0||**2 = ||exp(t B_res) x0||**2 + ||k||**2, with ||k|| taken
+    from kappa1* v itself, never as a difference of norms, so a rounding-level
+    k stays at rounding level.  :func:`restriction_defects` measures how
+    well the computed frames satisfy both identities.  ``eig``, when given,
+    is ``np.linalg.eig(B_res)``, shared with the spectral abscissa.
+    """
+    B_res = as_square_matrix(B_res, "B_res")
+    n0 = frames.n0
+    U0, times = _trajectory_input(U0, n0 + frames.n1, t_end, samples)
+    x0 = frame_embedding(frames).conj().T @ U0
+    frozen = np.linalg.norm(frames.kappa1.conj().T @ U0[n0:])
+    norms, method = _propagate(B_res, x0, times, eig)
+    return TrajectoryTrace(times=times, state_norms=np.hypot(norms, frozen), method=method)
+
+
+def _trajectory_input(U0, n: int, t_end: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The checked start as a complex vector of length n, and the sample times."""
     U0 = np.asarray(U0, dtype=complex)
     if U0.shape != (n,):
         raise DimensionMismatch(f"U0 must have length {n}, got {U0.shape}")
@@ -314,27 +364,35 @@ def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
         raise ParameterOutOfRange(f"t_end must be finite and positive, got {t_end!r}")
     if samples < 2:
         raise ParameterOutOfRange("samples must be at least 2")
+    return U0, np.linspace(0.0, t_end, samples)
 
-    times = np.linspace(0.0, t_end, samples)
-    method = "pade"
-    if n:
-        w, V = np.linalg.eig(B)
-        cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond < 1e6:
-            method = "eig"
-            coeffs = np.linalg.solve(V, U0)
-            modes = np.exp(np.outer(w, times)) * coeffs[:, None]
-            states = V @ modes
-            norms = np.linalg.norm(states, axis=0)
-        else:
-            norms = _pade_norms(B, U0, times)
-    else:
-        norms = np.zeros(samples)
-    return TrajectoryTrace(
-        times=times,
-        state_norms=np.asarray(norms, dtype=float),
-        method=method,
-    )
+
+def _propagate(B, U0, times, eig=None) -> tuple[np.ndarray, str]:
+    """``(||exp(t B) U0|| at each time, matrix-exponential path)``; see :func:`simulate`."""
+    if not B.shape[0]:
+        return np.zeros(times.size), "pade"
+    w, V = np.linalg.eig(B) if eig is None else eig
+    cond = np.linalg.cond(V)
+    if not (np.isfinite(cond) and cond < 1e6):
+        return _pade_norms(B, U0, times), "pade"
+    coeffs = np.linalg.solve(V, U0)
+    modes = np.exp(np.outer(w, times)) * coeffs[:, None]
+    return np.linalg.norm(V @ modes, axis=0), "eig"
+
+
+def restriction_defects(gamma, D, frames: HelmholtzFrames, B_res) -> tuple[float, float]:
+    """How far the computed frames are from making B_res the restriction of G.
+
+    Returns ``(||G F - F B_res||_F / ||G||_F, ||F* F - I||_F)`` for
+    G = assemble_generator(gamma, D) and F the frame embedding; both vanish
+    in exact arithmetic, and :func:`restricted_simulate` is exact when they do.
+    """
+    G = assemble_generator(gamma, D)
+    F = frame_embedding(frames)
+    scale = np.linalg.norm(G)
+    residual = float(np.linalg.norm(G @ F - F @ as_square_matrix(B_res, "B_res")))
+    defect = float(np.linalg.norm(F.conj().T @ F - np.eye(F.shape[1])))
+    return (residual / scale if scale else residual), defect
 
 
 def _pade_norms(B, U0, times) -> np.ndarray:

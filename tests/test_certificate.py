@@ -589,6 +589,7 @@ class TestOverlappedCover:
         assert dataclasses.asdict(on.certificate) == dataclasses.asdict(off.certificate)
         assert dataclasses.asdict(on.cover) == dataclasses.asdict(off.cover)
         assert on.abscissa == off.abscissa and on.fitted_rate == off.fitted_rate
+        assert (on.restriction_residual, on.frame_defect) == (off.restriction_residual, off.frame_defect)
         assert np.array_equal(on.trace.state_norms, off.trace.state_norms)
         assert on.checks == off.checks and all(on.checks.values())
 
@@ -645,9 +646,15 @@ class TestRealArithmetic:
         assert {getattr(s, k).dtype for k in _BLOCKS} == {np.dtype(float)}
         assert prepare(s).B_res.dtype == np.float64
         assert prepare(twin).B_res.dtype == np.complex128
-        real = sc.audit_system(s)
+        real, complex_run = sc.audit_system(s), sc.audit_system(twin)
         assert all(real.checks.values())
-        _assert_same_audit(real, sc.audit_system(twin))
+        _assert_same_audit(real, complex_run)
+        # The cover's strip is sized by ||B_res||, which the frames of the
+        # real and the complex SVD do not change.
+        assert real.cover.evaluations == complex_run.cover.evaluations
+        for x, y in [(real.cover.im_range[1], complex_run.cover.im_range[1]),
+                     (real.cover.max_enclosure, complex_run.cover.max_enclosure)]:
+            assert x == pytest.approx(y, rel=1e-12, abs=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -307,13 +308,16 @@ def test_certify_reports_are_deterministic(tmp_path):
 
 
 def test_certify_runs_each_step_once(tmp_path, monkeypatch):
+    # Rank 1 with n0 = n1 = 2: B_res has 3 rows, the full generator 4.
     problem = _write_problem(
-        tmp_path / "p.json", np.eye(2), np.eye(1), np.eye(2), [[1.0, 0.0]]
+        tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2), [[1.0, 0.0], [0.0, 0.0]]
     )
     calls = Counter()
+    shapes = []
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and (n == "stabcert" or n.startswith("stabcert."))]
-    for fn in (sc.normalize_system, sc.decompose, sc.restricted_generator, sc.spectral_abscissa):
+    for fn in (sc.normalize_system, sc.decompose, sc.restricted_generator,
+               sc.spectral_abscissa, sc.simulate):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -322,11 +326,53 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
             for attr, value in list(vars(m).items()):
                 if value is fn:
                     monkeypatch.setattr(m, attr, counted)
+    for name in ("eig", "eigvals"):
+        def counted(a, _fn=getattr(np.linalg, name)):
+            calls[_fn.__name__] += 1
+            shapes.append(np.shape(a))
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     assert main(["certify", problem, "-o", str(tmp_path / "r.json")]) == 0
-    # decompose runs on D only; the admissible start reuses its frames.
+    # decompose runs on D only; the admissible start reuses its frames.  One
+    # eigendecomposition of B_res gives the abscissa and the trajectory; the
+    # full generator is never decomposed.
     assert calls == {
-        "normalize_system": 1, "decompose": 1, "restricted_generator": 1, "spectral_abscissa": 1,
+        "normalize_system": 1, "decompose": 1, "restricted_generator": 1, "eig": 1,
     }
+    assert shapes == [(3, 3)]
+
+
+@pytest.mark.parametrize("corruption", ["scaled iota1", "rotated iota0"])
+def test_corrupted_frames_fail_the_restriction_verdict(tmp_path, monkeypatch, corruption):
+    # With gamma = I both corruptions leave B_res, and so the certificate and
+    # the cover, unchanged.  Scaling iota1 breaks F* F = I; rotating iota0
+    # towards kappa0 keeps the frames orthonormal but leaves C_tilde stale,
+    # which breaks G F = F B_res.  Only the restriction verdict sees either.
+    problem = _write_problem(
+        tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2), [[1.0, 0.0], [0.0, 0.0]]
+    )
+    decompose = sc.decompose
+
+    def corrupted(C):
+        f = decompose(C)
+        if corruption == "scaled iota1":
+            return dataclasses.replace(f, iota1=f.iota1 * (1.0 + 1e-6))
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        i0, k0 = f.iota0[:, :1], f.kappa0[:, :1]
+        return dataclasses.replace(f, iota0=c * i0 + s * k0, kappa0=c * k0 - s * i0)
+
+    for m in [m for n, m in list(sys.modules.items())
+              if m is not None and (n == "stabcert" or n.startswith("stabcert."))]:
+        for attr, value in list(vars(m).items()):
+            if value is decompose:
+                monkeypatch.setattr(m, attr, corrupted)
+    out = tmp_path / "r.json"
+    assert main(["certify", problem, "-o", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert [v for v, ok in report["verdicts"].items() if not ok] == ["restriction_consistent"]
+    defect = "frame_defect" if corruption == "scaled iota1" else "restriction_residual"
+    assert report["oracles"][defect] > 1e-10
 
 
 def test_certify_refuses_oversized_audit(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from stabcert import (
 )
 from stabcert import verify
 from stabcert.certificate import prepare
-from stabcert.verify import _RESOLVENT_STACK_BYTES, _resolvent_norms
+from stabcert.verify import (
+    _RESOLVENT_STACK_BYTES, _resolvent_norms, admissible_start, random_components,
+)
 
 from helpers import (
     assemble_shifted,
@@ -159,6 +164,30 @@ class TestResolventNorms:
         assert norms.tolist() == [0.0, 0.0]
         assert not singular.any()
 
+    def test_real_generator_takes_one_svd_per_conjugate_pair(self, monkeypatch):
+        # sigma(conj(z) I - B) = sigma(z I - B) for a real B.  Eight points in
+        # three conjugate pairs and two on the real axis reach the SVD as five
+        # matrices, and every norm is the unfolded complex computation's, bit
+        # for bit; a complex B folds nothing.
+        B = _grid_generator()
+        assert B.dtype == float
+        zs = np.array([-0.01 + 0.5j, 0.2, -0.01 - 0.5j, 1.5 - 2j, 1.5 + 2j, 0.3j, -0.3j, -0.01])
+        unfolded = _resolvent_norms(B.astype(complex), zs)
+        stacks = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            stacks.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        folded = _resolvent_norms(B, zs)
+        assert sum(stacks) == 5
+        assert np.array_equal(folded[0], unfolded[0]) and np.array_equal(folded[1], unfolded[1])
+        stacks.clear()
+        _resolvent_norms(B.astype(complex), zs)
+        assert sum(stacks) == zs.size
+
 
 class TestGpSweep:
     def test_scalar_damped_peak(self):
@@ -214,8 +243,8 @@ class TestSweepEngine:
         assert np.array_equal(first.singular_points, second.singular_points)
 
 
-def _claims():
-    """(name, B_res, certificate) of the scalar system, two N = 3 grids and the certified corpus."""
+def _claim_systems():
+    """(name, system) of the scalar system, two N = 3 grids and the certified corpus."""
     rng = np.random.default_rng(7)
     systems = [
         ("scalar", sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])),
@@ -230,9 +259,23 @@ def _claims():
         system = random_block_system(rng, n0, n1, r)
         if r:
             systems.append((f"corpus-{k}", system))
-    for name, system in systems:
+    return systems
+
+
+def _claims():
+    """(name, B_res, certificate) of each of :func:`_claim_systems`."""
+    for name, system in _claim_systems():
         prep = prepare(system)
         yield name, prep.B_res, sc.full_certificate(prep)
+
+
+def _load_perfbench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 class TestResolventCover:
@@ -285,12 +328,33 @@ class TestResolventCover:
 
     def test_capped_cover_fails_without_raising(self, monkeypatch):
         # The wrong claim a = -2 * abscissa takes the uncapped cover 116
-        # evaluations; capped at 20, it stops after the first row of squares.
+        # evaluations (re-measured with the strip sized by ||B||, 1.63 high
+        # where sqrt(||B||_1 ||B||_inf) gave 2.01); capped at 20, it stops
+        # after the first row of squares.
         B = sc.assemble_generator([[1.0]], [[1.0]])
         monkeypatch.setattr(verify, "_COVER_EVALS", 20)
         cover = verify.resolvent_cover(B, -2.0 * sc.spectral_abscissa(B), 80.0)
         assert not cover.passed
         assert 0 < cover.evaluations <= 20
+
+    def test_cover_does_not_depend_on_the_frames(self, monkeypatch):
+        # The maxwell-n3-hetero benchmark problems at seeds 20260810 and 7 are
+        # cyclic translations of one material draw: one operator, written in
+        # other frames.  With the strip sized by sqrt(||B||_1 ||B||_inf) their
+        # covers spent 14 and 15 evaluations.
+        workloads = _load_perfbench_workloads(monkeypatch)
+        covers = []
+        for seed in (20260810, 7):
+            p = workloads.maxwell_n3_hetero(seed)[0]
+            prep = prepare(sc.validate_system(p.alpha, p.beta, p.gamma, p.C))
+            cert = sc.full_certificate(prep)
+            covers.append(verify.resolvent_cover(
+                prep.B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6)))
+        first, second = covers
+        assert first.passed and second.passed
+        assert first.evaluations == second.evaluations
+        assert first.im_range[1] == pytest.approx(second.im_range[1], rel=1e-12, abs=0)
+        assert first.max_enclosure == pytest.approx(second.max_enclosure, rel=1e-12, abs=0)
 
     def test_empty_rectangle_needs_no_evaluation(self):
         # Pure damping -I: Re z >= -0.1 lies right of h + 1/bound = -0.5.
@@ -345,6 +409,42 @@ class TestSimulate:
         assert trace.method == "pade"
         expected = np.linalg.norm(scipy.linalg.expm(5.0 * B) @ np.array([1.0, 1.0]))
         assert trace.state_norms[-1] == pytest.approx(expected, rel=1e-10)
+
+
+class TestRestrictedSimulate:
+    def test_certify_trajectory_matches_the_full_generator(self):
+        # simulate on the full generator G is the reference.  Near the
+        # rounding floor the two differ by rounding of the ker(D*) part
+        # (4e-7 of the smallest norm on corpus-9), so the norms are compared
+        # relative to the largest one.
+        count = 0
+        for name, system in _claim_systems():
+            audit = sc.audit_system(system, seed=0)
+            prep = prepare(system)
+            ns = prep.normalized
+            U0, _ = admissible_start(ns, prep.frames, *random_components(0, ns.n0, ns.n1))
+            G = sc.assemble_generator(ns.gamma_tilde, ns.D)
+            ref = sc.simulate(G, U0, audit.trace.times[-1], 801)
+            norms = audit.trace.state_norms
+            assert audit.trace.method == ref.method, name
+            assert np.max(np.abs(norms - ref.state_norms)) <= 1e-10 * ref.state_norms.max(), name
+            assert audit.checks["restriction_consistent"], name
+            count += 1
+        assert count == 3 + 134
+
+    def test_frozen_part_of_any_start_is_kept(self):
+        # A start with a ker(D*) part of norm 0.6 keeps it for all time,
+        # as simulate on G shows.
+        rng = np.random.default_rng(11)
+        system = random_block_system(rng, 3, 4, 2)
+        ns = sc.normalize_system(system)
+        frames = sc.decompose(ns.D)
+        U0 = np.concatenate([0.8 * np.eye(3)[0], 0.6 * frames.kappa1[:, 0]])
+        B_res = sc.restricted_generator(ns.gamma_tilde, frames)
+        trace = verify.restricted_simulate(B_res, frames, U0, 40.0, 401)
+        ref = sc.simulate(sc.assemble_generator(ns.gamma_tilde, ns.D), U0, 40.0, 401)
+        assert np.allclose(trace.state_norms, ref.state_norms, rtol=1e-10, atol=0)
+        assert trace.state_norms.min() >= 0.6 * (1.0 - 1e-12)
 
 
 class TestFitDecayRate:
