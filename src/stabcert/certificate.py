@@ -65,6 +65,7 @@ from .verify import (
     resolvent_cover,
     restricted_simulate,
     restriction_defects,
+    spectral_abscissa,
 )
 
 __all__ = [
@@ -496,11 +497,11 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     The oracles follow one fixed recipe: a cover proving the resolvent norm
     of the restricted generator at most M_total (relative slack 1e-6) on
     Re z >= -delta_cert/2, which holds both lines the sweep verdicts name;
-    one eigendecomposition of the restricted generator, which gives its
-    spectral abscissa and the 801-sample trajectory of a random admissible
-    start drawn from ``seed``, with the decay rate fitted to it; and the
-    defects that make that trajectory the full generator's (at most
-    _RESTRICTION_TOL each).  ``checks`` holds one verdict per comparison.
+    the spectral abscissa of the restricted generator, from its eigenvalues
+    alone; the 801-sample trajectory of a random admissible start drawn
+    from ``seed``, from one Pade exponential and no eigenvectors, with the
+    decay rate fitted to it; and the defects that make that trajectory the
+    full generator's (at most _RESTRICTION_TOL each).  ``checks`` holds one verdict per comparison.
 
     Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).
     For a generator of at least _OVERLAP_MIN_DIM rows on more than one CPU,
@@ -554,7 +555,7 @@ _RESTRICTION_TOL = 1e-10
 
 
 def _spectral_oracles(prep: PreparedProblem, seed: int):
-    """The oracles that read one eig of B_res, and the defects that tie it to G.
+    """The spectral abscissa and trajectory of B_res, and the defects that tie it to G.
 
     Returns ``(abscissa, trace, fitted decay rate, projection residual,
     (restriction residual, frame defect))``.
@@ -562,14 +563,13 @@ def _spectral_oracles(prep: PreparedProblem, seed: int):
     ns = prep.normalized
     u0, v_raw = random_components(seed, ns.n0, ns.n1)
     U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
-    eig = np.linalg.eig(prep.B_res)
-    abscissa = float(eig[0].real.max())
+    abscissa = spectral_abscissa(prep.B_res)
 
     # The rounding-level part of U0 in ker(D*) never decays; end the run
     # while the decaying part, near exp(-30), is still far above it, and
     # at t = 20 at the latest.
     t_end = 30.0 / max(-abscissa, 1.5)
-    trace = restricted_simulate(prep.B_res, prep.frames, U0, t_end, 801, eig)
+    trace = restricted_simulate(prep.B_res, prep.frames, U0, t_end, 801)
     defects = restriction_defects(ns.gamma_tilde, ns.D, prep.frames, prep.B_res)
     return abscissa, trace, fit_decay_rate(trace), residual, defects
 
@@ -578,15 +578,19 @@ def _spectral_oracles(prep: PreparedProblem, seed: int):
 # other oracles.  Small kernels take microseconds, and the two threads then
 # mostly hand the interpreter lock back and forth: a pass over the 200-system
 # benchmark corpus (m <= 12) took 0.80 s overlapped against 0.53 s serial.
-# Random systems at m = 16 to 64 showed no clear difference either way, and
-# the N = 3 grids (m = 133) took a fifth less time overlapped; 2 cores.
-# numpy 2.4 releases the lock in its linalg kernels only above about 500
-# outputs: a single-matrix svd(compute_uv=False), eigvals and eigvalsh at
-# m = 133 hold it, and so does a stacked SVD of 3 x 133 values, while one of
-# 4 x 133 and eig (which also returns the vectors) release it.  Two threads
-# running the same call at m = 133 took longer than one thread running both
-# calls in the first cases (median speed-up 0.55 to 0.93) and gained 1.4 to
-# 1.6 times in the others.
+# Random systems at m = 16 to 64 showed no clear difference either way.  On
+# the N = 3 grids (m = 133), audit_system took a quarter to a third less time
+# overlapped: medians of 40 interleaved pairs on 2 cores, 32 against 45 ms
+# on unit material (overlap faster in 37 pairs) and 39 against 50 ms with
+# per-cell materials (39 pairs).  There this thread runs eigvals, about
+# 10 ms, which holds the lock, and the trajectory's matrix products and one
+# solve, which release it: against one thread running a call twice, two
+# threads running it once each were 0.94 times as fast for eigvals and 1.7
+# to 1.9 times as fast for the others.  numpy 2.4 releases
+# the lock in its linalg kernels only above about 500 outputs: a
+# single-matrix svd(compute_uv=False) and eigvalsh at m = 133 hold it too,
+# and so does the cover's stacked SVD of 3 x 133 values, while one of
+# 4 x 133 releases it.
 _OVERLAP_MIN_DIM = 64
 
 

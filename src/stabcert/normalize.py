@@ -76,6 +76,11 @@ def sqrt_factor(M) -> tuple[ComplexMatrix, ComplexMatrix]:
     """
     M = as_square_matrix(M, "M")
     _check_hermitian(M, "sqrt_factor argument")
+    return _sqrt_factor(M)
+
+
+def _sqrt_factor(M: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """:func:`sqrt_factor` of a square matrix already checked Hermitian."""
     w, V = np.linalg.eigh(hermitian_part(M))
     if M.shape[0] and (w[0] <= 0.0 or w[0] <= 1e-12 * w[-1]):
         raise NotPositiveDefinite(
@@ -88,9 +93,13 @@ def sqrt_factor(M) -> tuple[ComplexMatrix, ComplexMatrix]:
 
 
 def normalize_system(sys: BlockSystem) -> NormalizedSystem:
-    """Transport a validated system to unit weights."""
-    sa, sai = sqrt_factor(sys.alpha)
-    sb, sbi = sqrt_factor(sys.beta)
+    """Transport a validated system to unit weights.
+
+    :func:`~stabcert.model.validate_system` has checked that the weights are
+    Hermitian, so they are factored without checking again.
+    """
+    sa, sai = _sqrt_factor(sys.alpha)
+    sb, sbi = _sqrt_factor(sys.beta)
     gamma_tilde = sai @ sys.gamma @ sai
     D = sbi @ sys.C @ sai
     return NormalizedSystem(

@@ -1,14 +1,14 @@
 """Independent numerical audits: generators, resolvents, spectra, semigroups.
 
 Nothing in this module trusts the certificate chain.  Resolvent norms come
-from singular values of the shifted generator, spectral abscissae from a
-dense eigensolve, trajectories from the matrix exponential, and decay
-rates from a log-linear fit.  These are the oracles the certified
-constants are checked against.
+from singular values of the shifted generator, spectral abscissae from
+dense eigenvalues (no eigenvectors), trajectories from one Pade matrix
+exponential raised to each sample's power, and decay rates from a
+log-linear fit.  These are the oracles the certified constants are checked
+against; the trajectory and the abscissa share no computation.
 
 The trajectory of the full generator G is computed on the restricted
-generator B_res (:func:`restricted_simulate`), from the eigendecomposition
-that also gives the spectral abscissa.  That rests on G F = F B_res and
+generator B_res (:func:`restricted_simulate`).  That rests on G F = F B_res and
 F* F = I for the frame embedding F, and :func:`restriction_defects`
 measures both on the computed matrices; :func:`simulate` on G itself stays
 the reference it is tested against.
@@ -107,11 +107,10 @@ class CoverReport:
 class TrajectoryTrace:
     """Sampled state norms of a semigroup trajectory.
 
-    ``method`` records which matrix-exponential path produced the samples:
-    ``"eig"`` (diagonalization, used when the eigenvector basis is well
-    conditioned) or ``"pade"`` (stepping with ``scipy.linalg.expm``, the only
-    path that loads scipy).  The last digits of the norms depend on this
-    choice.
+    ``method`` names the matrix-exponential path that produced the samples.
+    :func:`simulate` and :func:`restricted_simulate` have one,
+    ``"pade"``: scaling and squaring of a Pade approximant, then binary
+    powering.
     """
 
     times: np.ndarray
@@ -319,18 +318,17 @@ def spectral_abscissa(B) -> float:
 def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
     """Sample ||exp(t B) U0|| at equally spaced times in [0, t_end].
 
-    The eigendecomposition of B gives the samples when its eigenvector basis
-    is well conditioned (cond < 1e6); otherwise one Pade step
-    ``scipy.linalg.expm(B dt)`` is repeated, the only path that loads scipy.
+    One Pade exponential exp(dt B), raised to every sample's power by binary
+    powering (:func:`_propagate`), gives the samples, whether or not B is
+    diagonalizable.
     """
     B = as_square_matrix(B, "B")
     U0, times = _trajectory_input(U0, B.shape[0], t_end, samples)
-    norms, method = _propagate(B, U0, times)
-    return TrajectoryTrace(times=times, state_norms=norms, method=method)
+    return TrajectoryTrace(times=times, state_norms=_propagate(B, U0, times), method="pade")
 
 
 def restricted_simulate(
-    B_res, frames: HelmholtzFrames, U0, t_end: float, samples: int, eig=None
+    B_res, frames: HelmholtzFrames, U0, t_end: float, samples: int
 ) -> TrajectoryTrace:
     """:func:`simulate` for the full generator G = [[-gamma, D*], [-D, 0]], run on B_res.
 
@@ -341,16 +339,15 @@ def restricted_simulate(
     ||exp(t G) U0||**2 = ||exp(t B_res) x0||**2 + ||k||**2, with ||k|| taken
     from kappa1* v itself, never as a difference of norms, so a rounding-level
     k stays at rounding level.  :func:`restriction_defects` measures how
-    well the computed frames satisfy both identities.  ``eig``, when given,
-    is ``np.linalg.eig(B_res)``, shared with the spectral abscissa.
+    well the computed frames satisfy both identities.
     """
     B_res = as_square_matrix(B_res, "B_res")
     n0 = frames.n0
     U0, times = _trajectory_input(U0, n0 + frames.n1, t_end, samples)
     x0 = frame_embedding(frames).conj().T @ U0
     frozen = np.linalg.norm(frames.kappa1.conj().T @ U0[n0:])
-    norms, method = _propagate(B_res, x0, times, eig)
-    return TrajectoryTrace(times=times, state_norms=np.hypot(norms, frozen), method=method)
+    norms = _propagate(B_res, x0, times)
+    return TrajectoryTrace(times=times, state_norms=np.hypot(norms, frozen), method="pade")
 
 
 def _trajectory_input(U0, n: int, t_end: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,17 +364,72 @@ def _trajectory_input(U0, n: int, t_end: float, samples: int) -> tuple[np.ndarra
     return U0, np.linspace(0.0, t_end, samples)
 
 
-def _propagate(B, U0, times, eig=None) -> tuple[np.ndarray, str]:
-    """``(||exp(t B) U0|| at each time, matrix-exponential path)``; see :func:`simulate`."""
-    if not B.shape[0]:
-        return np.zeros(times.size), "pade"
-    w, V = np.linalg.eig(B) if eig is None else eig
-    cond = np.linalg.cond(V)
-    if not (np.isfinite(cond) and cond < 1e6):
-        return _pade_norms(B, U0, times), "pade"
-    coeffs = np.linalg.solve(V, U0)
-    modes = np.exp(np.outer(w, times)) * coeffs[:, None]
-    return np.linalg.norm(V @ modes, axis=0), "eig"
+# Coefficients b_0..b_13 of p in the [13/13] Pade approximant p(x)/p(-x) of
+# exp, and the largest ||A||_1 at which its backward error stays below the
+# unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A) -> np.ndarray:
+    """exp(A) by scaling and squaring with the [13/13] Pade approximant.
+
+    A is scaled by 2**-s so that ||A||_1 <= _THETA13, the approximant
+    r = q(A)^-1 p(A) is formed with six products and one solve, and squared
+    s times (Higham 2005).  Unlike an eigendecomposition, it is accurate
+    however ill-conditioned the eigenvectors of A are.
+    """
+    A = np.asarray(A)
+    if not A.size:
+        return np.array(A)
+    norm = float(np.abs(A).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    A = A * 0.5**s
+    b = _PADE13
+    eye = np.eye(A.shape[0], dtype=A.dtype)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+def _propagate(B, U0, times) -> np.ndarray:
+    """||exp(t B) U0|| at the equally spaced ``times``; see :func:`simulate`.
+
+    One step E = exp(dt B) fills the samples by binary powering: with E^k
+    from repeated squaring, states k to 2k - 1 are E^k times states 0 to
+    k - 1.  The states are rows, so each step is one matrix product.  A real
+    B runs in real arithmetic, the start's real and imaginary parts as two
+    rows per sample.
+    """
+    m, n = B.shape[0], times.size
+    if not m:
+        return np.zeros(n)
+    if np.isrealobj(B):
+        states = np.empty((2 * n, m))
+        states[0], states[1], width = U0.real, U0.imag, 2
+    else:
+        states = np.empty((n, m), dtype=complex)
+        states[0], width = U0, 1
+    power = _expm((times[1] - times[0]) * B).T  # transposed, as rows multiply it
+    k = 1
+    while k < n:
+        if k > 1:
+            power = power @ power
+        j = min(k, n - k)
+        np.matmul(states[: width * j], power, out=states[width * k : width * (k + j)])
+        k *= 2
+    return np.linalg.norm(states.reshape(n, width * m), axis=1)
 
 
 def restriction_defects(gamma, D, frames: HelmholtzFrames, B_res) -> tuple[float, float]:
@@ -393,20 +445,6 @@ def restriction_defects(gamma, D, frames: HelmholtzFrames, B_res) -> tuple[float
     residual = float(np.linalg.norm(G @ F - F @ as_square_matrix(B_res, "B_res")))
     defect = float(np.linalg.norm(F.conj().T @ F - np.eye(F.shape[1])))
     return (residual / scale if scale else residual), defect
-
-
-def _pade_norms(B, U0, times) -> np.ndarray:
-    import scipy.linalg  # deferred: the package's one use of scipy, slow to import
-
-    dt = times[1] - times[0]
-    step = scipy.linalg.expm(B * dt)
-    norms = np.empty(len(times))
-    state = U0
-    norms[0] = np.linalg.norm(state)
-    for k in range(1, len(times)):
-        state = step @ state
-        norms[k] = np.linalg.norm(state)
-    return norms
 
 
 def fit_decay_rate(trace: TrajectoryTrace) -> float:

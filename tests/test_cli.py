@@ -42,6 +42,13 @@ def scalar_problem(tmp_path):
     return _write_problem(tmp_path / "scalar.json", [[1.0]], [[1.0]], [[1.0]], [[1.0]])
 
 
+@pytest.fixture()
+def jordan_problem(tmp_path):
+    # gamma = 2 and C = 1: the generator [[-2, 1], [-1, 0]] has the double
+    # eigenvalue -1 and one eigenvector, a Jordan block.
+    return _write_problem(tmp_path / "jordan.json", [[1.0]], [[1.0]], [[2.0]], [[1.0]])
+
+
 def test_maxwell_gen_then_certify(tmp_path):
     problem = tmp_path / "m.json"
     report = tmp_path / "r.json"
@@ -334,11 +341,13 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["certify", problem, "-o", str(tmp_path / "r.json")]) == 0
-    # decompose runs on D only; the admissible start reuses its frames.  One
-    # eigendecomposition of B_res gives the abscissa and the trajectory; the
-    # full generator is never decomposed.
+    # decompose runs on D only; the admissible start reuses its frames.  The
+    # abscissa is the eigenvalues of B_res alone, and the trajectory takes
+    # no eigensolve: no eigenvectors are computed, and the full generator is
+    # never decomposed.
     assert calls == {
-        "normalize_system": 1, "decompose": 1, "restricted_generator": 1, "eig": 1,
+        "normalize_system": 1, "decompose": 1, "restricted_generator": 1,
+        "spectral_abscissa": 1, "eigvals": 1,
     }
     assert shapes == [(3, 3)]
 
@@ -419,21 +428,32 @@ def test_matrix_from_json_keeps_signed_zeros():
     assert json.dumps(matrix_to_json(M)) == "[[[-0.0, 0.0], [1.0, -0.0]]]"
 
 
-def test_certify_loads_no_scipy(scalar_problem, tmp_path):
-    # scipy serves only the Pade fallback of simulate, which certify on a
-    # diagonalizable generator never takes; importing scipy.linalg would
-    # cost more than the certify itself.
+def _scipy_modules_after(argv, report):
+    """The scipy modules loaded by ``cli.main(argv + ['-o', report])`` in a fresh process."""
     code = (
         "import sys, stabcert\n"
         "from stabcert import cli\n"
-        f"assert cli.main(['certify', {scalar_problem!r}, '-o', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        f"assert cli.main({argv!r} + ['-o', {str(report)!r}]) == 0\n"
         "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(sc.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_certify_loads_no_scipy(scalar_problem, jordan_problem, tmp_path):
+    # stabcert does not depend on scipy, and importing scipy.linalg would
+    # cost more than the certify itself.
+    for problem in (scalar_problem, jordan_problem):
+        assert _scipy_modules_after(["certify", problem], tmp_path / "r.json") == "[]"
+
+
+def test_simulate_loads_no_scipy(jordan_problem, tmp_path):
+    # The trajectory on this defective generator once took a scipy path.
+    argv = ["simulate", jordan_problem, "--t-end", "5", "--samples", "101"]
+    assert _scipy_modules_after(argv, tmp_path / "r.json") == "[]"
 
 
 def test_cached_parser_keeps_no_state(scalar_problem, tmp_path):

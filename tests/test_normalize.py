@@ -50,6 +50,24 @@ class TestSqrtFactor:
 
 
 class TestNormalizeSystem:
+    def test_weights_are_checked_hermitian_once(self, monkeypatch):
+        # validate_system checks alpha and beta; normalize_system factors
+        # them without a second check, and gives the same factors as
+        # sqrt_factor, which keeps its own.
+        rng = np.random.default_rng(23)
+        system = random_block_system(rng, 3, 2, 2)
+        checked = []
+        real_check = sc.normalize._check_hermitian
+        monkeypatch.setattr(sc.normalize, "_check_hermitian",
+                            lambda M, which: (checked.append(which), real_check(M, which)))
+        ns = sc.normalize_system(system)
+        assert checked == []
+        for weight, sqrt, inv in ((system.alpha, ns.sqrt_alpha, ns.sqrt_alpha_inv),
+                                  (system.beta, ns.sqrt_beta, ns.sqrt_beta_inv)):
+            ref_sqrt, ref_inv = sc.sqrt_factor(weight)
+            assert np.array_equal(sqrt, ref_sqrt) and np.array_equal(inv, ref_inv)
+        assert checked == ["sqrt_factor argument"] * 2
+
     def test_identity_weights_are_a_no_op(self):
         g = np.array([[1.0, 0.3], [0.0, 2.0]])
         C = np.array([[1.0, 0.0]])

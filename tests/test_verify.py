@@ -21,6 +21,7 @@ from stabcert import (
 )
 from stabcert import verify
 from stabcert.certificate import prepare
+from stabcert.helmholtz import frame_embedding
 from stabcert.verify import (
     _RESOLVENT_STACK_BYTES, _resolvent_norms, admissible_start, random_components,
 )
@@ -386,7 +387,7 @@ class TestSimulate:
         U0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         trace = sc.simulate(B, U0, 10.0, 301)
         assert np.all(np.diff(trace.state_norms) <= 1e-10 * trace.state_norms[0])
-        assert trace.method in ("eig", "pade")
+        assert trace.method == "pade"
 
     def test_zero_generator_is_constant(self):
         U0 = np.array([3.0, 4.0], dtype=complex)
@@ -411,7 +412,63 @@ class TestSimulate:
         assert trace.state_norms[-1] == pytest.approx(expected, rel=1e-10)
 
 
+class TestExpm:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy_over_six_decades_of_norm(self, dtype):
+        # ||A||_1 from 1e-3 to 1e3 takes 0 to 8 squarings.  The spectra are
+        # shifted into Re < 0, so that no exponential overflows, and the
+        # error allowed grows with ||A||_1.  Most of it is scipy's: against
+        # 60-digit exponentials (mpmath, n <= 5) _expm was within
+        # 1e-14 ||A||_1 everywhere and scipy 1.17 off by 1.5e-11 at n = 2,
+        # ||A||_1 = 316.
+        rng = np.random.default_rng(29)
+        squarings = set()
+        for n in (1, 2, 5, 12, 30):
+            for norm in np.logspace(-3, 3, 25):
+                A = rng.standard_normal((n, n)).astype(dtype)
+                if dtype is complex:
+                    A += 1j * rng.standard_normal((n, n))
+                A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+                A *= norm / np.abs(A).sum(axis=0).max()
+                squarings.add(max(0, math.ceil(math.log2(norm / verify._THETA13))))
+                E, ref = verify._expm(A), scipy.linalg.expm(A)
+                assert E.dtype == ref.dtype
+                assert np.abs(E - ref).max() <= 1e-13 * max(norm, 1.0) * np.abs(ref).max(), (n, norm)
+        assert squarings == set(range(9))
+
+    def test_jordan_block(self):
+        J = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        for t in (0.1, 5.0, 40.0):
+            expected = math.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
+            assert np.allclose(verify._expm(t * J), expected, rtol=1e-14, atol=0)
+
+    def test_one_by_one_and_empty(self):
+        assert verify._expm(np.array([[2.0]]))[0, 0] == pytest.approx(math.exp(2.0), rel=1e-15)
+        assert verify._expm(np.array([[1j * math.pi]]))[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        assert verify._expm(np.zeros((0, 0))).shape == (0, 0)
+
+
 class TestRestrictedSimulate:
+    def test_powering_matches_scipy_expm(self):
+        # The samples come from one exp(dt B_res) raised to the k-th power by
+        # squaring; scipy's expm at t_k = k dt is the reference, on certify's
+        # start and time range.  Measured: 1e-15 on the grids, 7e-14 on the
+        # corpus, relative to the largest norm.
+        count = 0
+        for name, system in _claim_systems():
+            prep = prepare(system)
+            ns, frames, B_res = prep.normalized, prep.frames, prep.B_res
+            U0, _ = admissible_start(ns, frames, *random_components(0, ns.n0, ns.n1))
+            t_end = 30.0 / max(-sc.spectral_abscissa(B_res), 1.5)
+            trace = verify.restricted_simulate(B_res, frames, U0, t_end, 801)
+            x0 = frame_embedding(frames).conj().T @ U0
+            frozen = np.linalg.norm(frames.kappa1.conj().T @ U0[ns.n0:])
+            for k in (0, 1, 400, 800):
+                ref = np.hypot(np.linalg.norm(scipy.linalg.expm(trace.times[k] * B_res) @ x0), frozen)
+                assert abs(trace.state_norms[k] - ref) <= 1e-12 * trace.state_norms.max(), (name, k)
+            count += 1
+        assert count == 3 + 134
+
     def test_certify_trajectory_matches_the_full_generator(self):
         # simulate on the full generator G is the reference.  Near the
         # rounding floor the two differ by rounding of the ker(D*) part
