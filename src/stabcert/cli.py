@@ -7,10 +7,14 @@ chain (``sweep`` samples one line, for diagnostics).  ``certify`` and
 ``sweep`` load through :func:`load_problem`, which refuses a file too large
 to audit before parsing its matrices; ``simulate`` and ``reduce`` skip that
 guard and read files of any size.  Problem and report files are JSON with
-complex numbers stored as two-element [re, im] arrays and a
-``schema_version`` gate.  Problem files are written as one line of compact
-JSON, the fastest layout for json's encoder, and read in any layout;
-reports are indented, because people read them.  Reports embed the exact
+a ``schema_version`` gate.  Reports store every matrix as two-element
+[re, im] pairs.  A problem file stores a block as a 2-D array of plain
+numbers exactly when it loads as float64 (every imaginary part +0.0, the
+rule of :func:`stabcert.model._real_if_exact`) and as [re, im] pairs
+otherwise; either shape is read, so files of pairs written before load to
+the same bits.  Problem files are written as one line of compact JSON, the
+fastest layout for json's encoder, and read in any layout; reports are
+indented, because people read them.  Reports embed the exact
 formula strings behind every certified constant and the seed used for any
 randomized initial data, so identical inputs produce byte-identical reports.
 Every command runs with numpy's bundled OpenBLAS pinned to one thread, so
@@ -35,7 +39,7 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .errors import StabcertError
-from .model import validate_system
+from .model import _float_or_complex, _real_if_exact, validate_system
 from .normalize import normalize_system
 from .helmholtz import decompose, decoupling_transforms, restricted_generator
 from .certificate import FORMULAS, audit_system, prepare, refuse_oversized
@@ -65,13 +69,34 @@ def _from_pairs(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
-def matrix_from_json(data, name: str) -> np.ndarray:
+def _block_to_json(M) -> list:
+    """A problem-file block: plain numbers when it loads as float64, else pairs."""
+    M = _real_if_exact(_float_or_complex(M))
+    return matrix_to_json(M) if M.dtype.kind == "c" else M.tolist()
+
+
+def _number_array(data) -> np.ndarray | None:
+    """``data`` as a float64 array, or None unless it is a regular nesting of numbers.
+
+    One conversion without a dtype: its dtype tells numbers from strings,
+    which a conversion to float would parse.
+    """
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} is not a nested [re, im] array") from exc
+        arr = np.asarray(data)
+    except (TypeError, ValueError):
+        return None
+    return arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None
+
+
+def matrix_from_json(data, name: str) -> np.ndarray:
+    """A problem-file block: a 2-D array of numbers is real, a 3-D one holds [re, im] pairs."""
+    arr = _number_array(data)
+    if arr is None:
+        raise ValueError(f"{name} is not a nested array of numbers")
+    if arr.ndim == 2:
+        return arr
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(f"{name} must be a 2-D array of [re, im] pairs")
+        raise ValueError(f"{name} must be a 2-D array of numbers or of [re, im] pairs")
     return _from_pairs(arr)
 
 
@@ -90,7 +115,8 @@ def _read_problem(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError("problem file must be a JSON object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # type() because True == 1.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
     # Every threshold is fixed in the code; a file that sets one is refused,
     # not certified under thresholds other than the ones it asks for.
@@ -127,10 +153,10 @@ def dump_problem(system, path: str) -> None:
     """Write ``system`` to ``path`` as one line of compact JSON."""
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "alpha": matrix_to_json(system.alpha),
-        "beta": matrix_to_json(system.beta),
-        "gamma": matrix_to_json(system.gamma),
-        "C": matrix_to_json(system.C),
+        "alpha": _block_to_json(system.alpha),
+        "beta": _block_to_json(system.beta),
+        "gamma": _block_to_json(system.gamma),
+        "C": _block_to_json(system.C),
     }
     _write_json(payload, path, indent=None)
 
@@ -208,11 +234,8 @@ def _cmd_simulate(args) -> int:
         with open(args.u0, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         expected = f"u0 must be a list of {n0 + n1} [re, im] pairs"
-        try:
-            arr = np.asarray(raw, dtype=float)
-        except TypeError as exc:
-            raise ValueError(expected) from exc
-        if arr.ndim != 2 or arr.shape != (n0 + n1, 2):
+        arr = _number_array(raw)
+        if arr is None or arr.shape != (n0 + n1, 2):
             raise ValueError(expected)
         u0, v_raw = np.split(_from_pairs(arr), [n0])
     else:

@@ -191,7 +191,8 @@ def _real_if_exact(M: ComplexMatrix) -> ComplexMatrix:
     """The real part of ``M`` when every imaginary part is +0.0, else ``M``.
 
     The test reads bits, so an imaginary -0.0 keeps ``M`` complex: the real
-    part alone would not dump back to the same problem file.
+    part alone would not dump back to the same problem file.  The same test
+    picks the blocks that ``cli.dump_problem`` writes as plain numbers.
     """
     if M.dtype.kind == "c" and not M.imag.view(np.uint64).any():
         return M.real.copy()

@@ -28,6 +28,11 @@ def _payload(alpha, beta, gamma, C):
     }
 
 
+def _plain(M):
+    """A real block as the 2-D array of plain numbers a problem file stores."""
+    return np.asarray(M, dtype=float).tolist()
+
+
 def _write_problem(path, alpha, beta, gamma, C, **layout):
     path.write_text(json.dumps(_payload(alpha, beta, gamma, C), **layout))
     return str(path)
@@ -69,7 +74,10 @@ def test_problem_round_trip(tmp_path):
     direct = sc.build_maxwell_system(sc.GridSpec(N=3, h=0.3))
     matrices = (direct.alpha, direct.beta, direct.gamma, direct.C)
     text = problem.read_text()
-    assert text == json.dumps(_payload(*matrices), sort_keys=True) + "\n"
+    # Every block is real, so each is stored as plain numbers.
+    plain = {"schema_version": 1,
+             **{n: _plain(getattr(direct, n)) for n in ("alpha", "beta", "gamma", "C")}}
+    assert text == json.dumps(plain, sort_keys=True) + "\n"
     assert text.count("\n") == 1
     system = load_problem(str(problem))
     legacy = load_problem(_write_problem(tmp_path / "legacy.json", *matrices, **LEGACY))
@@ -89,9 +97,11 @@ def test_problem_round_trip(tmp_path):
 @pytest.mark.parametrize("imag", [-0.0, 0.25])
 def test_an_imaginary_part_keeps_its_block_complex_through_a_round_trip(tmp_path, imag):
     # One stored imaginary part of gamma set to -0.0 or 0.25: gamma loads as
-    # complex128, the other blocks as float64, and a dump rewrites the file.
+    # complex128, the other blocks as float64, and a dump rewrites the file,
+    # gamma as [re, im] pairs and the others as plain numbers.
     direct = sc.build_maxwell_system(sc.GridSpec(N=3, h=0.3))
-    payload = _payload(direct.alpha, direct.beta, direct.gamma, direct.C)
+    payload = {"schema_version": 1, "gamma": matrix_to_json(direct.gamma),
+               **{n: _plain(getattr(direct, n)) for n in ("alpha", "beta", "C")}}
     payload["gamma"][0][1][1] = imag
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(payload, sort_keys=True) + "\n")
@@ -106,18 +116,51 @@ def test_an_imaginary_part_keeps_its_block_complex_through_a_round_trip(tmp_path
     again = tmp_path / "again.json"
     cli.dump_problem(system, str(again))
     assert again.read_bytes() == problem.read_bytes()
+    assert np.asarray(json.loads(again.read_text())["gamma"]).shape == (*direct.gamma.shape, 2)
 
 
 def test_certify_reads_any_problem_layout(tmp_path):
+    # The dumped file stores plain numbers; copies in the [re, im] pair
+    # encoding, compact and indented, load the same block bytes (C holds
+    # -0.0 entries) and certify to the same report.
     system = sc.build_maxwell_system(sc.GridSpec(N=3), sigma=0.7)
+    assert np.signbit(system.C[system.C == 0]).any()
+    blocks = (system.alpha, system.beta, system.gamma, system.C)
     compact = tmp_path / "compact.json"
     cli.dump_problem(system, str(compact))
-    legacy = _write_problem(tmp_path / "legacy.json", system.alpha, system.beta, system.gamma,
-                            system.C, **LEGACY)
-    reports = [tmp_path / "r_compact.json", tmp_path / "r_legacy.json"]
-    assert main(["certify", str(compact), "-o", str(reports[0])]) == 0
-    assert main(["certify", legacy, "-o", str(reports[1])]) == 0
-    assert reports[0].read_bytes() == reports[1].read_bytes()
+    paths = [str(compact), _write_problem(tmp_path / "pairs.json", *blocks),
+             _write_problem(tmp_path / "legacy.json", *blocks, **LEGACY)]
+    reports = []
+    for k, path in enumerate(paths):
+        loaded = load_problem(path)
+        for name, built in zip(("alpha", "beta", "gamma", "C"), blocks):
+            assert getattr(loaded, name).dtype == np.float64
+            assert getattr(loaded, name).tobytes() == built.tobytes()
+        reports.append(tmp_path / f"r{k}.json")
+        assert main(["certify", path, "-o", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+
+
+def test_zero_complex_coupling_is_stored_as_plain_numbers(tmp_path):
+    # Every imaginary part is +0.0, so a complex zero C is written as the
+    # plain numbers of the float64 block it loads as.
+    one = np.eye(1, dtype=complex)
+    system = SimpleNamespace(alpha=one, beta=2 * np.eye(2, dtype=complex), gamma=one,
+                             C=np.zeros((2, 1), dtype=complex))
+    path = tmp_path / "p.json"
+    cli.dump_problem(system, str(path))
+    assert json.loads(path.read_text())["C"] == [[0.0], [0.0]]
+    loaded = load_problem(str(path))
+    for name in ("alpha", "beta", "gamma", "C"):
+        assert getattr(loaded, name).dtype == np.float64
+
+
+def test_real_grid_loads_without_pairs(grid_problem, monkeypatch):
+    calls, from_pairs = [], cli._from_pairs
+    monkeypatch.setattr(cli, "_from_pairs", lambda arr: calls.append(arr.shape) or from_pairs(arr))
+    system = load_problem(grid_problem)
+    assert calls == []
+    assert system.C.dtype == np.float64
 
 
 def test_refused_problem_leaves_no_file(tmp_path, capsys):
@@ -179,14 +222,17 @@ def test_simulate_records_projection_residual(tmp_path):
 
 
 def test_simulate_refuses_u0_object(scalar_problem, tmp_path, capsys):
+    # Also a ragged list, which numpy refuses with its own text, and string
+    # pairs, which a conversion to float would parse as numbers.
     u0_file = tmp_path / "u0.json"
-    u0_file.write_text(json.dumps({"a": 1}))
     argv = ["simulate", scalar_problem, "--t-end", "1", "--samples", "11", "--u0", str(u0_file)]
-    assert main(argv) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "ValueError",
-                                    "detail": "u0 must be a list of 2 [re, im] pairs"}
+    for u0 in ({"a": 1}, [[1.0, 0.0], [1.0]], [["1.0", "0"], ["0", "0"]]):
+        u0_file.write_text(json.dumps(u0))
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "detail": "u0 must be a list of 2 [re, im] pairs"}
 
 
 def test_simulate_seed_reproduces_certify_trajectory(scalar_problem, tmp_path):
@@ -230,10 +276,27 @@ def test_missing_file_is_input_error():
 
 
 def test_wrong_schema_version(tmp_path, capsys):
+    # True == 1 in Python, so an equality test alone accepts true.
     f = tmp_path / "v2.json"
-    f.write_text(json.dumps({"schema_version": 2}))
-    assert main(["certify", str(f)]) == 1
-    assert "schema_version" in capsys.readouterr().err
+    for version in (2, True):
+        f.write_text(json.dumps({"schema_version": version}))
+        assert main(["certify", str(f)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "detail": f"unsupported schema_version {version!r}"}
+
+
+@pytest.mark.parametrize("alpha", [[[["1.0", "0"]]], [["1.0"]], [[True]], [[None]]])
+def test_non_numeric_entry_is_refused(scalar_problem, capsys, alpha):
+    # Converted with dtype=float, the strings would parse as numbers.
+    path = Path(scalar_problem)
+    payload = json.loads(path.read_text())
+    payload["alpha"] = alpha
+    path.write_text(json.dumps(payload))
+    assert main(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "detail": "alpha is not a nested array of numbers"}
 
 
 @pytest.mark.parametrize(
