@@ -8,11 +8,16 @@ chain (``sweep`` samples one line, for diagnostics).  ``certify`` and
 to audit before parsing its matrices; ``simulate`` and ``reduce`` skip that
 guard and read files of any size.  Problem and report files are JSON with
 a ``schema_version`` gate.  Reports store every matrix as two-element
-[re, im] pairs.  A problem file stores a block as a 2-D array of plain
-numbers exactly when it loads as float64 (every imaginary part +0.0, the
-rule of :func:`stabcert.model._real_if_exact`) and as [re, im] pairs
-otherwise; either shape is read, so files of pairs written before load to
-the same bits.  Problem files are written as one line of compact JSON, the
+[re, im] pairs.  A problem file stores a block's numbers as plain numbers
+exactly when it loads as float64 (every imaginary part +0.0, the rule of
+:func:`stabcert.model._real_if_exact`) and as [re, im] pairs otherwise.
+It stores a block as coordinates, ``{"shape", "rows", "cols", "values"}``
+listing every entry with a bit set (-0.0 included), whenever these hold no
+more numbers than the dense 2-D array; so every empty or all-zero block,
+and the diagonal blocks of a grid, are.  Every form is read, so files
+written before load to the same bits.  A JSON boolean among numbers is
+refused; the per-entry scan for one runs only on a file whose text holds
+``true`` or ``false``.  Problem files are written as one line of compact JSON, the
 fastest layout for json's encoder, and read in any layout; reports are
 indented, because people read them.  Reports embed the exact
 formula strings behind every certified constant and the seed used for any
@@ -69,28 +74,114 @@ def _from_pairs(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
-def _block_to_json(M) -> list:
-    """A problem-file block: plain numbers when it loads as float64, else pairs."""
+_BLOCKS = ("alpha", "beta", "gamma", "C")
+_COORDINATE_KEYS = frozenset({"shape", "rows", "cols", "values"})
+
+
+def _block_to_json(M) -> list | dict:
+    """A problem-file block, plain numbers when it loads as float64 and pairs otherwise.
+
+    An entry is stored when any bit of it is set, so -0.0 is kept.  The
+    block is written as coordinates whenever their indices and values are
+    no more numbers than the dense form holds, so every empty or all-zero
+    block is; otherwise as the dense 2-D array.
+    """
     M = _real_if_exact(_float_or_complex(M))
-    return matrix_to_json(M) if M.dtype.kind == "c" else M.tolist()
+    per_entry = 2 if M.dtype.kind == "c" else 1
+    bits = M.view(np.uint64) if per_entry == 1 else M.real.view(np.uint64) | M.imag.view(np.uint64)
+    rows, cols = np.nonzero(bits)
+    if (2 + per_entry) * rows.size > per_entry * M.size:
+        return matrix_to_json(M) if per_entry == 2 else M.tolist()
+    values = M[rows, cols]
+    return {
+        "shape": list(M.shape),
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "values": matrix_to_json(values) if per_entry == 2 else values.tolist(),
+    }
 
 
-def _number_array(data) -> np.ndarray | None:
+def _holds_boolean(data) -> bool:
+    """Whether a nesting of lists holds a JSON boolean, which numpy takes as 0 or 1."""
+    if isinstance(data, list):
+        return any(_holds_boolean(x) for x in data)
+    return type(data) is bool
+
+
+def _number_array(data, booleans: bool = True) -> np.ndarray | None:
     """``data`` as a float64 array, or None unless it is a regular nesting of numbers.
 
     One conversion without a dtype: its dtype tells numbers from strings,
-    which a conversion to float would parse.
+    which a conversion to float would parse.  A boolean among numbers is
+    refused by a scan of every entry, skipped when ``booleans`` is False
+    because the text the data came from holds none.
     """
     try:
         arr = np.asarray(data)
     except (TypeError, ValueError):
         return None
-    return arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None
+    if arr.dtype.kind not in "iuf" or (booleans and _holds_boolean(data)):
+        return None
+    return arr.astype(float, copy=False)
 
 
-def matrix_from_json(data, name: str) -> np.ndarray:
-    """A problem-file block: a 2-D array of numbers is real, a 3-D one holds [re, im] pairs."""
-    arr = _number_array(data)
+def _declared_shape(data: dict, name: str) -> tuple[int, int]:
+    """The ``shape`` of a coordinate block: two non-negative integers."""
+    shape = data.get("shape")
+    # type() because True == 1.
+    if not (type(shape) is list and len(shape) == 2
+            and all(type(k) is int and k >= 0 for k in shape)):
+        raise ValueError(f"{name} shape must be two non-negative integers")
+    return shape[0], shape[1]
+
+
+def _index_array(data, name: str, size: int, booleans: bool) -> np.ndarray:
+    """A list of integer indices below ``size``; numpy reads ``[]`` as float64, and it is taken."""
+    try:
+        arr = np.asarray(data)
+    except (TypeError, ValueError):
+        arr = None
+    if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
+            or (booleans and _holds_boolean(data))):
+        raise ValueError(f"{name} must be a list of integers")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise ValueError(f"{name} holds an index out of range")
+    return arr.astype(np.intp, copy=False)
+
+
+def _coordinate_block(data: dict, name: str, booleans: bool) -> np.ndarray:
+    """The dense block of ``{"shape", "rows", "cols", "values"}``; unlisted entries are +0.0."""
+    if data.keys() != _COORDINATE_KEYS:
+        raise ValueError(f"{name} must hold exactly the keys {sorted(_COORDINATE_KEYS)}")
+    n_rows, n_cols = _declared_shape(data, name)
+    rows = _index_array(data["rows"], f"{name} rows", n_rows, booleans)
+    cols = _index_array(data["cols"], f"{name} cols", n_cols, booleans)
+    values = _number_array(data["values"], booleans)
+    if values is None or not (values.ndim == 1 or values.shape[1:] == (2,)):
+        raise ValueError(f"{name} values must be a list of numbers or of [re, im] pairs")
+    if not len(rows) == len(cols) == len(values):
+        raise ValueError(f"{name} rows, cols and values differ in length")
+    stored = np.zeros((n_rows, n_cols), dtype=bool)
+    stored[rows, cols] = True
+    if np.count_nonzero(stored) < len(rows):
+        raise ValueError(f"{name} repeats a coordinate")
+    if values.ndim == 2:
+        values = _from_pairs(values)
+    block = np.zeros((n_rows, n_cols), dtype=values.dtype)
+    block[rows, cols] = values
+    return block
+
+
+def matrix_from_json(data, name: str, booleans: bool = True) -> np.ndarray:
+    """A problem-file block in any of its three forms.
+
+    A 2-D array of numbers is real, a 3-D one holds [re, im] pairs, and an
+    object holds coordinates.  ``booleans`` False skips the scan for JSON
+    booleans, for data whose text holds none.
+    """
+    if isinstance(data, dict):
+        return _coordinate_block(data, name, booleans)
+    arr = _number_array(data, booleans)
     if arr is None:
         raise ValueError(f"{name} is not a nested array of numbers")
     if arr.ndim == 2:
@@ -108,10 +199,16 @@ def _finite(x):
     return x if math.isfinite(x) else None
 
 
-def _read_problem(path: str) -> dict:
-    """The problem file's JSON object, after the checks that parse no matrix."""
+def _read_problem(path: str) -> tuple[dict, bool]:
+    """The problem file's JSON object, after the checks that parse no matrix.
+
+    Also returns whether the file's text holds ``true`` or ``false``: only
+    then can a block hold a JSON boolean, and only then do the blocks get
+    the per-entry scan that refuses one.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("problem file must be a JSON object")
     version = data.get("schema_version")
@@ -123,41 +220,40 @@ def _read_problem(path: str) -> dict:
     key = "tolerances"
     if key in data:
         raise ValueError(f"problem file key {key!r} is no longer supported; remove it")
-    return data
+    return data, "true" in text or "false" in text
 
 
-def _system_from(data: dict):
+def _system_from(data: dict, booleans: bool):
     matrices = {}
-    for name in ("alpha", "beta", "gamma", "C"):
+    for name in _BLOCKS:
         if name not in data:
             raise ValueError(f"problem file is missing {name!r}")
-        matrices[name] = matrix_from_json(data[name], name)
+        matrices[name] = matrix_from_json(data[name], name, booleans)
     return validate_system(matrices["alpha"], matrices["beta"], matrices["gamma"], matrices["C"])
 
 
 def load_problem(path: str):
     """The validated system of a problem file that ``certify`` or ``sweep`` audits.
 
-    A file whose ``alpha`` has more rows than the audit admits is refused
-    right after it is read, before its matrices are converted and validated.
-    ``simulate`` and ``reduce`` bypass this loader on purpose: they read
-    through ``_read_problem`` and ``_system_from`` and take files of any size.
+    A file whose ``alpha`` has more rows than the audit admits, by its
+    length or by its declared ``shape``, is refused right after it is read,
+    before any matrix is converted or validated.  ``simulate`` and
+    ``reduce`` bypass this loader on purpose: they read through
+    ``_read_problem`` and ``_system_from`` and take files of any size.
     """
-    data = _read_problem(path)
-    if isinstance(data.get("alpha"), list):
-        refuse_oversized(len(data["alpha"]))
-    return _system_from(data)
+    data, booleans = _read_problem(path)
+    alpha = data.get("alpha")
+    if isinstance(alpha, list):
+        refuse_oversized(len(alpha))
+    elif isinstance(alpha, dict):
+        refuse_oversized(_declared_shape(alpha, "alpha")[0])
+    return _system_from(data, booleans)
 
 
 def dump_problem(system, path: str) -> None:
     """Write ``system`` to ``path`` as one line of compact JSON."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "alpha": _block_to_json(system.alpha),
-        "beta": _block_to_json(system.beta),
-        "gamma": _block_to_json(system.gamma),
-        "C": _block_to_json(system.C),
-    }
+    payload = {"schema_version": SCHEMA_VERSION,
+               **{name: _block_to_json(getattr(system, name)) for name in _BLOCKS}}
     _write_json(payload, path, indent=None)
 
 
@@ -227,7 +323,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = _system_from(_read_problem(args.problem))
+    system = _system_from(*_read_problem(args.problem))
     ns = normalize_system(system)
     n0, n1 = system.n0, system.n1
     if args.u0 is not None:
@@ -265,7 +361,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    system = _system_from(_read_problem(args.problem))
+    system = _system_from(*_read_problem(args.problem))
     ns = normalize_system(system)
     frames = decompose(ns.D)
     try:

@@ -125,8 +125,12 @@ def hermitian_min_eig(M) -> float:
     M = as_square_matrix(M, "M")
     if M.shape[0] == 0:
         return math.inf
-    w = np.linalg.eigvalsh(hermitian_part(M))
-    return float(w[0])
+    H = hermitian_part(M)
+    # A diagonal H has its entries as eigenvalues, which eigvalsh returns
+    # exactly; as grid weights and damping are diagonal, skip the eigensolve.
+    if np.count_nonzero(H) == np.count_nonzero(H.diagonal()):
+        return float(H.diagonal().real.min())
+    return float(np.linalg.eigvalsh(H)[0])
 
 
 def operator_norm(M) -> float:
@@ -179,10 +183,13 @@ _COERCIVITY_FLOOR = 1e-10
 
 
 def _check_hermitian(M: ComplexMatrix, which: str) -> None:
-    scale = operator_norm(M)
-    deviation = operator_norm(M - M.conj().T)
-    if scale == 0.0:
+    asymmetry = M - M.conj().T
+    # M == M* entry by entry makes the deviation exactly 0: no SVD needed.
+    # Otherwise M is not zero, so its norm is positive.
+    if not asymmetry.any():
         return
+    scale = operator_norm(M)
+    deviation = operator_norm(asymmetry)
     if deviation > _HERMITIAN_TOL * scale:
         raise NotHermitian(which, deviation / scale)
 

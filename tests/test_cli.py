@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stabcert as sc
 from stabcert import cli
@@ -31,6 +33,21 @@ def _payload(alpha, beta, gamma, C):
 def _plain(M):
     """A real block as the 2-D array of plain numbers a problem file stores."""
     return np.asarray(M, dtype=float).tolist()
+
+
+def _is_set(x) -> bool:
+    """Whether any bit of an entry is set: nonzero, or a zero with a sign bit."""
+    c = complex(x)
+    return c != 0 or math.copysign(1.0, c.real) < 0 or math.copysign(1.0, c.imag) < 0
+
+
+def _coordinates(M):
+    """A block as the coordinate object a problem file stores, row by row."""
+    M = np.asarray(M)
+    stored = [(i, j, x) for (i, j), x in np.ndenumerate(M) if _is_set(x)]
+    value = (lambda x: [x.real, x.imag]) if M.dtype.kind == "c" else float
+    return {"shape": list(M.shape), "rows": [i for i, _, _ in stored],
+            "cols": [j for _, j, _ in stored], "values": [value(x) for _, _, x in stored]}
 
 
 def _write_problem(path, alpha, beta, gamma, C, **layout):
@@ -74,10 +91,14 @@ def test_problem_round_trip(tmp_path):
     direct = sc.build_maxwell_system(sc.GridSpec(N=3, h=0.3))
     matrices = (direct.alpha, direct.beta, direct.gamma, direct.C)
     text = problem.read_text()
-    # Every block is real, so each is stored as plain numbers.
-    plain = {"schema_version": 1,
-             **{n: _plain(getattr(direct, n)) for n in ("alpha", "beta", "gamma", "C")}}
-    assert text == json.dumps(plain, sort_keys=True) + "\n"
+    # Every block is real, so each stores plain numbers.  The diagonal
+    # weights and damping are stored as coordinates.  C is not: its negated
+    # curl blocks hold 2025 entries of -0.0, so its 2349 stored entries
+    # would take 3 * 2349 numbers against 6561 dense ones.
+    assert sum(map(_is_set, direct.C.flat)) == 2349
+    expected = {"schema_version": 1, "C": _plain(direct.C),
+                **{n: _coordinates(getattr(direct, n)) for n in ("alpha", "beta", "gamma")}}
+    assert text == json.dumps(expected, sort_keys=True) + "\n"
     assert text.count("\n") == 1
     system = load_problem(str(problem))
     legacy = load_problem(_write_problem(tmp_path / "legacy.json", *matrices, **LEGACY))
@@ -97,38 +118,47 @@ def test_problem_round_trip(tmp_path):
 @pytest.mark.parametrize("imag", [-0.0, 0.25])
 def test_an_imaginary_part_keeps_its_block_complex_through_a_round_trip(tmp_path, imag):
     # One stored imaginary part of gamma set to -0.0 or 0.25: gamma loads as
-    # complex128, the other blocks as float64, and a dump rewrites the file,
-    # gamma as [re, im] pairs and the others as plain numbers.
+    # complex128, the other blocks as float64, and a dump writes gamma with
+    # [re, im] pairs and the others with plain numbers.  The dense file
+    # written here and the coordinate file dumped from it load to the same
+    # bits, and a second dump rewrites the first byte for byte.
     direct = sc.build_maxwell_system(sc.GridSpec(N=3, h=0.3))
     payload = {"schema_version": 1, "gamma": matrix_to_json(direct.gamma),
                **{n: _plain(getattr(direct, n)) for n in ("alpha", "beta", "C")}}
     payload["gamma"][0][1][1] = imag
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    system = load_problem(str(problem))
-    for name in ("alpha", "beta", "C"):
-        assert getattr(system, name).dtype == np.float64
-        assert getattr(system, name).tobytes() == getattr(direct, name).tobytes()
     expected = direct.gamma.astype(complex)
     expected[0, 1] = complex(0.0, imag)
-    assert system.gamma.dtype == np.complex128
-    assert system.gamma.tobytes() == expected.tobytes()
-    again = tmp_path / "again.json"
-    cli.dump_problem(system, str(again))
-    assert again.read_bytes() == problem.read_bytes()
-    assert np.asarray(json.loads(again.read_text())["gamma"]).shape == (*direct.gamma.shape, 2)
+    files = [problem, tmp_path / "once.json", tmp_path / "twice.json"]
+    for path, dumped in zip(files, files[1:]):
+        system = load_problem(str(path))
+        for name in ("alpha", "beta", "C"):
+            assert getattr(system, name).dtype == np.float64
+            assert getattr(system, name).tobytes() == getattr(direct, name).tobytes()
+        assert system.gamma.dtype == np.complex128
+        assert system.gamma.tobytes() == expected.tobytes()
+        cli.dump_problem(system, str(dumped))
+    assert files[2].read_bytes() == files[1].read_bytes()
+    gamma = json.loads(files[1].read_text())["gamma"]
+    assert gamma == _coordinates(expected)
+    assert gamma["values"][1] == [0.0, imag]
 
 
 def test_certify_reads_any_problem_layout(tmp_path):
-    # The dumped file stores plain numbers; copies in the [re, im] pair
-    # encoding, compact and indented, load the same block bytes (C holds
-    # -0.0 entries) and certify to the same report.
+    # The dumped file stores coordinates and plain numbers; copies with
+    # every block as plain numbers or as [re, im] pairs, compact and
+    # indented, load the same block bytes (C holds -0.0 entries) and
+    # certify to the same report.
     system = sc.build_maxwell_system(sc.GridSpec(N=3), sigma=0.7)
     assert np.signbit(system.C[system.C == 0]).any()
     blocks = (system.alpha, system.beta, system.gamma, system.C)
     compact = tmp_path / "compact.json"
     cli.dump_problem(system, str(compact))
-    paths = [str(compact), _write_problem(tmp_path / "pairs.json", *blocks),
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"schema_version": 1, **dict(zip(
+        ("alpha", "beta", "gamma", "C"), map(_plain, blocks)))}))
+    paths = [str(compact), str(plain), _write_problem(tmp_path / "pairs.json", *blocks),
              _write_problem(tmp_path / "legacy.json", *blocks, **LEGACY)]
     reports = []
     for k, path in enumerate(paths):
@@ -138,18 +168,20 @@ def test_certify_reads_any_problem_layout(tmp_path):
             assert getattr(loaded, name).tobytes() == built.tobytes()
         reports.append(tmp_path / f"r{k}.json")
         assert main(["certify", path, "-o", str(reports[-1])]) == 0
-    assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+    assert len({r.read_bytes() for r in reports}) == 1
 
 
 def test_zero_complex_coupling_is_stored_as_plain_numbers(tmp_path):
     # Every imaginary part is +0.0, so a complex zero C is written as the
-    # plain numbers of the float64 block it loads as.
+    # float64 block it loads as: no entry has a bit set, so it is stored as
+    # coordinates with an empty list of plain values.
     one = np.eye(1, dtype=complex)
     system = SimpleNamespace(alpha=one, beta=2 * np.eye(2, dtype=complex), gamma=one,
                              C=np.zeros((2, 1), dtype=complex))
     path = tmp_path / "p.json"
     cli.dump_problem(system, str(path))
-    assert json.loads(path.read_text())["C"] == [[0.0], [0.0]]
+    assert json.loads(path.read_text())["C"] == {"shape": [2, 1], "rows": [], "cols": [],
+                                                 "values": []}
     loaded = load_problem(str(path))
     for name in ("alpha", "beta", "gamma", "C"):
         assert getattr(loaded, name).dtype == np.float64
@@ -222,11 +254,12 @@ def test_simulate_records_projection_residual(tmp_path):
 
 
 def test_simulate_refuses_u0_object(scalar_problem, tmp_path, capsys):
-    # Also a ragged list, which numpy refuses with its own text, and string
-    # pairs, which a conversion to float would parse as numbers.
+    # Also a ragged list, which numpy refuses with its own text, string
+    # pairs, which a conversion to float would parse as numbers, and a
+    # boolean among numbers, which numpy would take as 1.0.
     u0_file = tmp_path / "u0.json"
     argv = ["simulate", scalar_problem, "--t-end", "1", "--samples", "11", "--u0", str(u0_file)]
-    for u0 in ({"a": 1}, [[1.0, 0.0], [1.0]], [["1.0", "0"], ["0", "0"]]):
+    for u0 in ({"a": 1}, [[1.0, 0.0], [1.0]], [["1.0", "0"], ["0", "0"]], [[True, 0.0], [0.0, 0.0]]):
         u0_file.write_text(json.dumps(u0))
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -489,6 +522,162 @@ def test_matrix_from_json_keeps_signed_zeros():
     data = [[[-0.0, 0.0], [1.0, -0.0]]]
     M = matrix_from_json(data, "M")
     assert json.dumps(matrix_to_json(M)) == "[[[-0.0, 0.0], [1.0, -0.0]]]"
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _blocks(draw):
+    """Real and complex blocks, zeros and -0.0 frequent, all-zero and empty shapes included."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    n = shape[0] * shape[1]
+    kind = draw(st.sampled_from(["real", "complex", "real zero", "complex zero"]))
+    M = np.zeros(shape, dtype=float if kind.startswith("real") else complex)
+    if kind.endswith("zero"):
+        return M
+    M.real = np.reshape(draw(st.lists(_ENTRIES, min_size=n, max_size=n)), shape)
+    if kind == "complex":
+        M.imag = np.reshape(draw(st.lists(_ENTRIES, min_size=n, max_size=n)), shape)
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_blocks())
+def test_block_round_trip_keeps_every_bit(M):
+    # The file keeps every entry with a bit set, -0.0 included, and picks the
+    # coordinate form exactly when it holds no more numbers than the dense one.
+    expected = M.real.copy() if not M.imag.view(np.uint64).any() else M
+    text = json.dumps(cli._block_to_json(M), sort_keys=True, allow_nan=False)
+    per_entry = 2 if expected.dtype.kind == "c" else 1
+    stored = sum(map(_is_set, M.flat))
+    data = json.loads(text)
+    assert isinstance(data, dict) == ((2 + per_entry) * stored <= per_entry * M.size)
+    if isinstance(data, dict):
+        assert data == _coordinates(expected)
+    loaded = matrix_from_json(data, "M")
+    assert loaded.dtype == expected.dtype
+    assert loaded.shape == M.shape
+    assert np.array_equal(loaded.view(np.uint64), expected.view(np.uint64))
+    assert json.dumps(cli._block_to_json(loaded), sort_keys=True, allow_nan=False) == text
+
+
+def test_empty_blocks_round_trip(tmp_path):
+    # With n1 = 0, beta is 0 x 0 and C is 0 x 2.  Dense, both were written
+    # as [], which reads as neither shape; coordinates carry the shape.
+    system = sc.validate_system(np.eye(2), np.zeros((0, 0)), np.eye(2), np.zeros((0, 2)))
+    problem, report = tmp_path / "p.json", tmp_path / "r.json"
+    cli.dump_problem(system, str(problem))
+    data = json.loads(problem.read_text())
+    assert [data[n]["shape"] for n in ("beta", "C")] == [[0, 0], [0, 2]]
+    loaded = load_problem(str(problem))
+    assert (loaded.beta.shape, loaded.C.shape) == ((0, 0), (0, 2))
+    assert main(["certify", str(problem), "-o", str(report)]) == 0
+    audit = sc.audit_system(system)
+    assert all(audit.checks.values())
+    certificate = json.loads(json.dumps(dataclasses.asdict(audit.certificate)))
+    assert json.loads(report.read_text())["certificate"] == certificate
+
+
+def _coordinate_problem(path, **changes):
+    """A scalar problem whose blocks are coordinates; ``changes`` maps a block to edited fields."""
+    one = {"shape": [1, 1], "rows": [0], "cols": [0], "values": [1.0]}
+    payload = {"schema_version": 1, **{n: dict(one) for n in ("alpha", "beta", "gamma", "C")}}
+    for name, fields in changes.items():
+        payload[name] = {**payload[name], **fields}
+        payload[name] = {k: v for k, v in payload[name].items() if v is not None}
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+_SHAPE = "alpha shape must be two non-negative integers"
+_VALUES = "alpha values must be a list of numbers or of [re, im] pairs"
+
+
+@pytest.mark.parametrize(
+    "changes, detail",
+    [
+        ({"alpha": {"shape": [1]}}, _SHAPE),
+        ({"alpha": {"shape": [1, -1]}}, _SHAPE),
+        ({"alpha": {"shape": [True, 1]}}, _SHAPE),
+        ({"alpha": {"shape": [1.0, 1]}}, _SHAPE),
+        ({"beta": {"shape": None}}, "beta must hold exactly the keys ['cols', 'rows', 'shape', 'values']"),
+        ({"C": {"fill": 0.0}}, "C must hold exactly the keys ['cols', 'rows', 'shape', 'values']"),
+        ({"alpha": {"rows": [0.0]}}, "alpha rows must be a list of integers"),
+        ({"alpha": {"rows": [True]}}, "alpha rows must be a list of integers"),
+        ({"beta": {"cols": ["0"]}}, "beta cols must be a list of integers"),
+        ({"alpha": {"rows": [[0]]}}, "alpha rows must be a list of integers"),
+        ({"gamma": {"rows": [0, 0]}}, "gamma rows, cols and values differ in length"),
+        ({"alpha": {"rows": [1]}}, "alpha rows holds an index out of range"),
+        ({"C": {"cols": [-1]}}, "C cols holds an index out of range"),
+        ({"alpha": {"shape": [2, 2], "rows": [0, 1, 0], "cols": [1, 1, 1], "values": [0.0, 1.0, 0.0]}},
+         "alpha repeats a coordinate"),
+        ({"alpha": {"values": ["1.0"]}}, _VALUES),
+        ({"alpha": {"values": [[1.0, 0.0, 0.0]]}}, _VALUES),
+        ({"alpha": {"values": [None]}}, _VALUES),
+        ({"alpha": {"values": 1.0}}, _VALUES),
+    ],
+)
+def test_malformed_coordinate_block_is_refused(tmp_path, capsys, changes, detail):
+    problem = _coordinate_problem(tmp_path / "p.json", **changes)
+    assert main(["certify", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "detail": detail}
+
+
+def test_coordinate_problem_certifies(tmp_path):
+    problem = _coordinate_problem(tmp_path / "p.json")
+    assert main(["certify", problem, "-o", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [["certify"], ["sweep", "--abscissa", "0", "--lambda-max", "1", "--points", "3"]])
+def test_oversized_coordinate_problem_is_refused_before_parsing(tmp_path, monkeypatch, capsys, argv):
+    # The declared shape alone refuses it; the other blocks are malformed.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema_version": 1, "beta": [[1]], "gamma": "ragged", "C": {},
+                                "alpha": {"shape": [641, 641], "rows": [], "cols": [], "values": []}}))
+    calls = []
+    for name in ("matrix_from_json", "validate_system"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name: calls.append(_name))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GridTooLarge", "detail": "n0 = 641 rows already exceed the audit limit 640"}
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "alpha, detail",
+    [
+        ([[True, 0.0], [0.0, 1.5]], "alpha is not a nested array of numbers"),
+        ([[[1.0, 0.0], [False, 0.0]], [[0.0, 0.0], [1.5, 0.0]]], "alpha is not a nested array of numbers"),
+        ({"shape": [2, 2], "rows": [0, True], "cols": [0, 1], "values": [1.0, 1.5]},
+         "alpha rows must be a list of integers"),
+        ({"shape": [2, 2], "rows": [0, 1], "cols": [0, 1], "values": [True, 1.5]}, _VALUES),
+    ],
+)
+def test_boolean_among_numbers_is_refused(tmp_path, capsys, alpha, detail):
+    # numpy promotes a boolean mixed with numbers to 0 or 1.
+    problem = _write_problem(tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    payload = json.loads(Path(problem).read_text())
+    payload["alpha"] = alpha
+    Path(problem).write_text(json.dumps(payload))
+    assert main(["certify", problem]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "detail": detail}
+
+
+def test_boolean_scan_runs_only_on_text_that_holds_one(grid_problem, tmp_path, monkeypatch):
+    calls, scan = [], cli._holds_boolean
+    monkeypatch.setattr(cli, "_holds_boolean", lambda data: calls.append(1) or scan(data))
+    load_problem(grid_problem)
+    assert calls == []
+    payload = json.loads(Path(grid_problem).read_text())
+    payload["note"] = "true"
+    noted = tmp_path / "noted.json"
+    noted.write_text(json.dumps(payload))
+    system = load_problem(str(noted))
+    assert calls
+    assert system.C.tobytes() == load_problem(grid_problem).C.tobytes()
 
 
 def _scipy_modules_after(argv, report):

@@ -140,6 +140,53 @@ class TestHermitianMinEig:
             sc.hermitian_min_eig(np.ones((2, 3)))
 
 
+class TestShortcuts:
+    """Exact cases skip LAPACK; every decision and value stays the same."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls, fn = [], getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(a[0].shape) or fn(*a, **k))
+        return calls
+
+    def test_exactly_hermitian_weights_take_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        alpha = A @ A.conj().T + np.eye(4)
+        alpha = 0.5 * (alpha + alpha.conj().T)  # M == M* entry by entry
+        calls = self._spy(monkeypatch, "svd")
+        sc.validate_system(alpha, np.diag([1.0, 2.0]), np.eye(4), np.ones((2, 4)))
+        assert calls == []
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_small_asymmetry_is_still_refused(self, monkeypatch, dtype):
+        alpha = np.eye(3, dtype=dtype)
+        alpha[0, 1] = 1e-10
+        calls = self._spy(monkeypatch, "svd")
+        with pytest.raises(NotHermitian) as exc:
+            sc.validate_system(alpha, np.eye(1), np.eye(3), np.ones((1, 3)))
+        assert exc.value.which == "alpha"
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_min_eig_equals_eigvalsh_without_calling_it(self, monkeypatch, dtype):
+        rng = np.random.default_rng(9)
+        diagonals = [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+                     for n in (1, 2, 7, 81)]
+        diagonals.append(np.array([-0.0, 0.0, 3.0]))
+        for d in diagonals:
+            M = np.diag(d).astype(dtype)
+            M[0, 0] += 1j * 2.5 if dtype is complex else 0.0  # skew part, not in the Hermitian part
+            expected = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0]
+            calls = self._spy(monkeypatch, "eigvalsh")
+            assert np.float64(sc.hermitian_min_eig(M)).tobytes() == expected.tobytes()
+            assert calls == []
+            monkeypatch.undo()
+        calls = self._spy(monkeypatch, "eigvalsh")
+        sc.hermitian_min_eig([[2.0, 1e-300], [0.0, 3.0]])
+        assert calls == [(2, 2)]
+
+
 _RECT = np.ones((2, 3))
 # (argument name, entry point, arguments with a 2 x 3 operator in that slot)
 _SQUARE_CHECKS = [
