@@ -13,15 +13,18 @@ exactly when it loads as float64 (every imaginary part +0.0, the rule of
 :func:`stabcert.model._real_if_exact`) and as [re, im] pairs otherwise.
 It stores a block as coordinates, ``{"shape", "rows", "cols", "values"}``
 listing every entry with a bit set (-0.0 included), whenever these hold no
-more numbers than the dense 2-D array; so every empty or all-zero block,
-and the diagonal blocks of a grid, are.  Every form is read, so files
-written before load to the same bits.  A JSON boolean among numbers is
-refused; the per-entry scan for one runs only on a file whose text holds
-``true`` or ``false``.  Problem files are written as one line of compact JSON, the
-fastest layout for json's encoder, and read in any layout; reports are
-indented, because people read them.  Reports embed the exact
-formula strings behind every certified constant and the seed used for any
-randomized initial data, so identical inputs produce byte-identical reports.
+more numbers than the dense 2-D array and its shape has at most 2**22
+entries; so every empty or all-zero block of that size, and the diagonal
+blocks of a grid, are.  Every form is read, so files written before load
+to the same bits; a coordinate shape over the cap is refused before any
+array is built, because the shape, not the text, sizes the array.  A JSON
+boolean among numbers is refused; the per-entry scan for one runs only on
+a file whose text holds ``true`` or ``false``.  Problem files are written
+as one line of compact JSON, the fastest layout for json's encoder, and
+read in any layout; reports are indented, because people read them.
+Reports embed the exact formula strings behind every certified constant
+and the seed used for any randomized initial data, so identical inputs
+produce byte-identical reports.
 Every command runs with numpy's bundled OpenBLAS pinned to one thread, so
 reports do not depend on the thread count either; with another BLAS the
 thread count is left alone, and changing it may move the last digits.
@@ -83,14 +86,15 @@ def _block_to_json(M) -> list | dict:
 
     An entry is stored when any bit of it is set, so -0.0 is kept.  The
     block is written as coordinates whenever their indices and values are
-    no more numbers than the dense form holds, so every empty or all-zero
-    block is; otherwise as the dense 2-D array.
+    no more numbers than the dense form holds and it has at most
+    ``_MAX_COORDINATE_ENTRIES`` entries, so every empty or all-zero block
+    of that size is; otherwise as the dense 2-D array.
     """
     M = _real_if_exact(_float_or_complex(M))
     per_entry = 2 if M.dtype.kind == "c" else 1
     bits = M.view(np.uint64) if per_entry == 1 else M.real.view(np.uint64) | M.imag.view(np.uint64)
     rows, cols = np.nonzero(bits)
-    if (2 + per_entry) * rows.size > per_entry * M.size:
+    if M.size > _MAX_COORDINATE_ENTRIES or (2 + per_entry) * rows.size > per_entry * M.size:
         return matrix_to_json(M) if per_entry == 2 else M.tolist()
     values = M[rows, cols]
     return {
@@ -108,55 +112,62 @@ def _holds_boolean(data) -> bool:
     return type(data) is bool
 
 
-def _number_array(data, booleans: bool = True) -> np.ndarray | None:
+def _number_array(data) -> np.ndarray | None:
     """``data`` as a float64 array, or None unless it is a regular nesting of numbers.
 
     One conversion without a dtype: its dtype tells numbers from strings,
-    which a conversion to float would parse.  A boolean among numbers is
-    refused by a scan of every entry, skipped when ``booleans`` is False
-    because the text the data came from holds none.
+    which a conversion to float would parse.  Booleans among numbers are
+    left to the caller (see :func:`_read_problem`).
     """
     try:
         arr = np.asarray(data)
     except (TypeError, ValueError):
         return None
-    if arr.dtype.kind not in "iuf" or (booleans and _holds_boolean(data)):
+    if arr.dtype.kind not in "iuf":
         return None
     return arr.astype(float, copy=False)
 
 
+# A coordinate block's shape, not its text, sizes the array it loads to, so
+# the shape is capped: 2**22 entries (2048 x 2048, 64 MiB when complex).
+# dump_problem writes a larger block densely, which costs text in proportion.
+_MAX_COORDINATE_ENTRIES = 1 << 22
+
+
 def _declared_shape(data: dict, name: str) -> tuple[int, int]:
-    """The ``shape`` of a coordinate block: two non-negative integers."""
-    shape = data.get("shape")
+    """The ``shape`` of a coordinate block: two non-negative integers, within the cap."""
+    if data.keys() != _COORDINATE_KEYS:
+        raise ValueError(f"{name} must hold exactly the keys {sorted(_COORDINATE_KEYS)}")
+    shape = data["shape"]
     # type() because True == 1.
     if not (type(shape) is list and len(shape) == 2
             and all(type(k) is int and k >= 0 for k in shape)):
         raise ValueError(f"{name} shape must be two non-negative integers")
+    if shape[0] * shape[1] > _MAX_COORDINATE_ENTRIES:
+        raise ValueError(f"{name} shape {shape[0]} x {shape[1]} exceeds the "
+                         f"{_MAX_COORDINATE_ENTRIES} entries of a coordinate block")
     return shape[0], shape[1]
 
 
-def _index_array(data, name: str, size: int, booleans: bool) -> np.ndarray:
+def _index_array(data, name: str, size: int) -> np.ndarray:
     """A list of integer indices below ``size``; numpy reads ``[]`` as float64, and it is taken."""
     try:
         arr = np.asarray(data)
     except (TypeError, ValueError):
         arr = None
-    if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu")
-            or (booleans and _holds_boolean(data))):
+    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ValueError(f"{name} must be a list of integers")
     if arr.size and (arr.min() < 0 or arr.max() >= size):
         raise ValueError(f"{name} holds an index out of range")
     return arr.astype(np.intp, copy=False)
 
 
-def _coordinate_block(data: dict, name: str, booleans: bool) -> np.ndarray:
+def _coordinate_block(data: dict, name: str) -> np.ndarray:
     """The dense block of ``{"shape", "rows", "cols", "values"}``; unlisted entries are +0.0."""
-    if data.keys() != _COORDINATE_KEYS:
-        raise ValueError(f"{name} must hold exactly the keys {sorted(_COORDINATE_KEYS)}")
     n_rows, n_cols = _declared_shape(data, name)
-    rows = _index_array(data["rows"], f"{name} rows", n_rows, booleans)
-    cols = _index_array(data["cols"], f"{name} cols", n_cols, booleans)
-    values = _number_array(data["values"], booleans)
+    rows = _index_array(data["rows"], f"{name} rows", n_rows)
+    cols = _index_array(data["cols"], f"{name} cols", n_cols)
+    values = _number_array(data["values"])
     if values is None or not (values.ndim == 1 or values.shape[1:] == (2,)):
         raise ValueError(f"{name} values must be a list of numbers or of [re, im] pairs")
     if not len(rows) == len(cols) == len(values):
@@ -172,16 +183,15 @@ def _coordinate_block(data: dict, name: str, booleans: bool) -> np.ndarray:
     return block
 
 
-def matrix_from_json(data, name: str, booleans: bool = True) -> np.ndarray:
+def matrix_from_json(data, name: str) -> np.ndarray:
     """A problem-file block in any of its three forms.
 
     A 2-D array of numbers is real, a 3-D one holds [re, im] pairs, and an
-    object holds coordinates.  ``booleans`` False skips the scan for JSON
-    booleans, for data whose text holds none.
+    object holds coordinates.
     """
     if isinstance(data, dict):
-        return _coordinate_block(data, name, booleans)
-    arr = _number_array(data, booleans)
+        return _coordinate_block(data, name)
+    arr = _number_array(data)
     if arr is None:
         raise ValueError(f"{name} is not a nested array of numbers")
     if arr.ndim == 2:
@@ -199,12 +209,12 @@ def _finite(x):
     return x if math.isfinite(x) else None
 
 
-def _read_problem(path: str) -> tuple[dict, bool]:
+def _read_problem(path: str) -> dict:
     """The problem file's JSON object, after the checks that parse no matrix.
 
-    Also returns whether the file's text holds ``true`` or ``false``: only
-    then can a block hold a JSON boolean, and only then do the blocks get
-    the per-entry scan that refuses one.
+    A block that holds a JSON boolean is refused here.  Only a file whose
+    text holds ``true`` or ``false`` can, so only then are the blocks
+    scanned entry by entry.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -220,15 +230,28 @@ def _read_problem(path: str) -> tuple[dict, bool]:
     key = "tolerances"
     if key in data:
         raise ValueError(f"problem file key {key!r} is no longer supported; remove it")
-    return data, "true" in text or "false" in text
+    if "true" in text or "false" in text:
+        for name in _BLOCKS:
+            block = data.get(name)
+            if isinstance(block, dict) and _holds_boolean(list(block.values())):
+                raise ValueError(f"{name} holds a JSON boolean")
+            if _holds_boolean(block):
+                raise ValueError(f"{name} is not a nested array of numbers")
+    return data
 
 
-def _system_from(data: dict, booleans: bool):
-    matrices = {}
+def _system_from(data: dict):
+    """The validated system of a problem file's blocks.
+
+    Every coordinate block's declared shape is checked before any block is
+    converted, so a small file cannot ask for a large array.
+    """
     for name in _BLOCKS:
         if name not in data:
             raise ValueError(f"problem file is missing {name!r}")
-        matrices[name] = matrix_from_json(data[name], name, booleans)
+        if isinstance(data[name], dict):
+            _declared_shape(data[name], name)
+    matrices = {name: matrix_from_json(data[name], name) for name in _BLOCKS}
     return validate_system(matrices["alpha"], matrices["beta"], matrices["gamma"], matrices["C"])
 
 
@@ -241,13 +264,13 @@ def load_problem(path: str):
     ``reduce`` bypass this loader on purpose: they read through
     ``_read_problem`` and ``_system_from`` and take files of any size.
     """
-    data, booleans = _read_problem(path)
+    data = _read_problem(path)
     alpha = data.get("alpha")
     if isinstance(alpha, list):
         refuse_oversized(len(alpha))
     elif isinstance(alpha, dict):
         refuse_oversized(_declared_shape(alpha, "alpha")[0])
-    return _system_from(data, booleans)
+    return _system_from(data)
 
 
 def dump_problem(system, path: str) -> None:
@@ -323,7 +346,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = _system_from(*_read_problem(args.problem))
+    system = _system_from(_read_problem(args.problem))
     ns = normalize_system(system)
     n0, n1 = system.n0, system.n1
     if args.u0 is not None:
@@ -331,7 +354,7 @@ def _cmd_simulate(args) -> int:
             raw = json.load(fh)
         expected = f"u0 must be a list of {n0 + n1} [re, im] pairs"
         arr = _number_array(raw)
-        if arr is None or arr.shape != (n0 + n1, 2):
+        if arr is None or arr.shape != (n0 + n1, 2) or _holds_boolean(raw):
             raise ValueError(expected)
         u0, v_raw = np.split(_from_pairs(arr), [n0])
     else:
@@ -361,7 +384,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    system = _system_from(*_read_problem(args.problem))
+    system = _system_from(_read_problem(args.problem))
     ns = normalize_system(system)
     frames = decompose(ns.D)
     try:

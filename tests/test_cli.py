@@ -599,12 +599,12 @@ _VALUES = "alpha values must be a list of numbers or of [re, im] pairs"
     [
         ({"alpha": {"shape": [1]}}, _SHAPE),
         ({"alpha": {"shape": [1, -1]}}, _SHAPE),
-        ({"alpha": {"shape": [True, 1]}}, _SHAPE),
+        ({"alpha": {"shape": [True, 1]}}, "alpha holds a JSON boolean"),
         ({"alpha": {"shape": [1.0, 1]}}, _SHAPE),
         ({"beta": {"shape": None}}, "beta must hold exactly the keys ['cols', 'rows', 'shape', 'values']"),
         ({"C": {"fill": 0.0}}, "C must hold exactly the keys ['cols', 'rows', 'shape', 'values']"),
         ({"alpha": {"rows": [0.0]}}, "alpha rows must be a list of integers"),
-        ({"alpha": {"rows": [True]}}, "alpha rows must be a list of integers"),
+        ({"alpha": {"rows": [True]}}, "alpha holds a JSON boolean"),
         ({"beta": {"cols": ["0"]}}, "beta cols must be a list of integers"),
         ({"alpha": {"rows": [[0]]}}, "alpha rows must be a list of integers"),
         ({"gamma": {"rows": [0, 0]}}, "gamma rows, cols and values differ in length"),
@@ -647,13 +647,51 @@ def test_oversized_coordinate_problem_is_refused_before_parsing(tmp_path, monkey
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["certify"], ["simulate", "--t-end", "1", "--samples", "3"], ["reduce", "--z", "1,0"]],
+)
+def test_coordinate_shape_over_the_cap_is_refused_before_any_array(tmp_path, monkeypatch, capsys, argv):
+    # About 200 bytes that would ask for a 40000 x 40000 beta.
+    path = tmp_path / "huge.json"
+    empty = {"rows": [], "cols": [], "values": []}
+    path.write_text(json.dumps({"schema_version": 1, "alpha": [[1.0]], "gamma": [[1.0]],
+                                "beta": {"shape": [40000, 40000], **empty},
+                                "C": {"shape": [40000, 1], **empty}}))
+    calls = []
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: calls.append("zeros"))
+    monkeypatch.setattr(cli, "matrix_from_json", lambda *a: calls.append("matrix_from_json"))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "detail": "beta shape 40000 x 40000 exceeds the 4194304 entries of a coordinate block"}
+    assert calls == []
+
+
+def test_block_over_the_cap_is_written_densely(tmp_path, monkeypatch):
+    # A shape the reader refuses as coordinates is never written so.
+    monkeypatch.setattr(cli, "_MAX_COORDINATE_ENTRIES", 8)
+    assert cli._block_to_json(np.zeros((2, 4)))["shape"] == [2, 4]
+    assert cli._block_to_json(np.zeros((3, 3))) == np.zeros((3, 3)).tolist()
+    with pytest.raises(ValueError, match="M shape 3 x 3 exceeds the 8 entries"):
+        matrix_from_json({"shape": [3, 3], "rows": [], "cols": [], "values": []}, "M")
+    system = sc.validate_system(np.eye(3), np.eye(1), np.eye(3), np.zeros((1, 3)))
+    cli.dump_problem(system, str(tmp_path / "p.json"))
+    data = json.loads((tmp_path / "p.json").read_text())
+    assert [isinstance(data[n], dict) for n in ("alpha", "beta", "gamma", "C")] == [False, False, False, True]
+    loaded = load_problem(str(tmp_path / "p.json"))
+    assert all(getattr(loaded, n).tobytes() == getattr(system, n).tobytes() for n in ("alpha", "beta", "gamma", "C"))
+
+
+@pytest.mark.parametrize(
     "alpha, detail",
     [
         ([[True, 0.0], [0.0, 1.5]], "alpha is not a nested array of numbers"),
         ([[[1.0, 0.0], [False, 0.0]], [[0.0, 0.0], [1.5, 0.0]]], "alpha is not a nested array of numbers"),
         ({"shape": [2, 2], "rows": [0, True], "cols": [0, 1], "values": [1.0, 1.5]},
-         "alpha rows must be a list of integers"),
-        ({"shape": [2, 2], "rows": [0, 1], "cols": [0, 1], "values": [True, 1.5]}, _VALUES),
+         "alpha holds a JSON boolean"),
+        ({"shape": [2, 2], "rows": [0, 1], "cols": [0, 1], "values": [True, 1.5]},
+         "alpha holds a JSON boolean"),
     ],
 )
 def test_boolean_among_numbers_is_refused(tmp_path, capsys, alpha, detail):
