@@ -132,12 +132,11 @@ class AuditRecord:
     ``re_range`` x ``im_range`` bounds the covered disk segment,
     ``grid_shape`` is 1 x (resolvent evaluations of the passing pass), and
     ``max_resolvent_norm`` is the largest enclosure, a bound on the segment.
+    Only a passed cover is recorded: a failed one raises CertificateFailure.
     """
 
-    passed: bool
     halvings: int
     max_resolvent_norm: float
-    singular_hits: int
     re_range: tuple[float, float]
     im_range: tuple[float, float]
     grid_shape: tuple[int, int]
@@ -356,7 +355,7 @@ def _small_frequency_audit(
         )
         if passed:
             return delta, AuditRecord(
-                passed=True, halvings=halvings, max_resolvent_norm=enclosure, singular_hits=0,
+                halvings=halvings, max_resolvent_norm=enclosure,
                 re_range=(-delta, im_half), im_range=(-im_half, im_half), grid_shape=(1, evals),
             )
     raise CertificateFailure(
@@ -524,7 +523,7 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
 
     norms = trace.state_norms
     checks = {
-        "audit_passed": bool(cert.audit.passed),
+        "audit_passed": bool(cert.audit.max_resolvent_norm <= cert.M_total),
         "spectral_abscissa_sound": bool(abscissa <= -cert.delta_cert + 1e-9),
         "sweep_at_zero_bounded": cover.passed,
         "sweep_at_half_bounded": cover.passed,

@@ -314,7 +314,6 @@ def _cmd_certify(args) -> int:
         "formulas": FORMULAS,
         "oracles": {
             "spectral_abscissa_restricted": audit.abscissa,
-            "fitted_decay_rate": audit.fitted_rate,
             "restriction_residual": audit.restriction_residual,
             "frame_defect": audit.frame_defect,
         },
@@ -325,7 +324,6 @@ def _cmd_certify(args) -> int:
             "seed": args.seed,
             "projection_residual": audit.projection_residual,
             "fitted_rate": audit.fitted_rate,
-            "method": audit.trace.method,
         },
         "verdicts": audit.checks,
     }
@@ -377,7 +375,6 @@ def _cmd_simulate(args) -> int:
         "times": [float(t) for t in trace.times],
         "state_norms": [float(x) for x in trace.state_norms],
         "fitted_rate": _finite(fitted),
-        "method": trace.method,
     }
     _write_json(report, args.output)
     return 0

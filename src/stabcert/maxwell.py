@@ -95,7 +95,9 @@ def build_curl(spec: GridSpec) -> DiscreteCurl:
     Dy = np.kron(np.kron(eye, Dc), eye)
     Dz = np.kron(np.kron(eye, eye), Dc)
     Z = np.zeros((N**3, N**3))
-    K = np.block([[Z, -Dz, Dy], [Dz, Z, -Dx], [-Dy, Dx, Z]])
+    # + 0.0 turns the -0.0 of the negated blocks into +0.0, so a problem
+    # file stores only the nonzero entries; no other entry changes.
+    K = np.block([[Z, -Dz, Dy], [Dz, Z, -Dx], [-Dy, Dx, Z]]) + 0.0
     grad = np.vstack([Dx, Dy, Dz])
     return DiscreteCurl(K=K, grad=grad)
 

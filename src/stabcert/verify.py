@@ -105,17 +105,10 @@ class CoverReport:
 
 @dataclass(frozen=True)
 class TrajectoryTrace:
-    """Sampled state norms of a semigroup trajectory.
-
-    ``method`` names the matrix-exponential path that produced the samples.
-    :func:`simulate` and :func:`restricted_simulate` have one,
-    ``"pade"``: scaling and squaring of a Pade approximant, then binary
-    powering.
-    """
+    """Sampled state norms of a semigroup trajectory."""
 
     times: np.ndarray
     state_norms: np.ndarray
-    method: str
 
 
 @dataclass(frozen=True)
@@ -324,7 +317,7 @@ def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
     """
     B = as_square_matrix(B, "B")
     U0, times = _trajectory_input(U0, B.shape[0], t_end, samples)
-    return TrajectoryTrace(times=times, state_norms=_propagate(B, U0, times), method="pade")
+    return TrajectoryTrace(times=times, state_norms=_propagate(B, U0, times))
 
 
 def restricted_simulate(
@@ -347,7 +340,7 @@ def restricted_simulate(
     x0 = frame_embedding(frames).conj().T @ U0
     frozen = np.linalg.norm(frames.kappa1.conj().T @ U0[n0:])
     norms = _propagate(B_res, x0, times)
-    return TrajectoryTrace(times=times, state_norms=np.hypot(norms, frozen), method="pade")
+    return TrajectoryTrace(times=times, state_norms=np.hypot(norms, frozen))
 
 
 def _trajectory_input(U0, n: int, t_end: float, samples: int) -> tuple[np.ndarray, np.ndarray]:

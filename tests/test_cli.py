@@ -91,19 +91,18 @@ def test_problem_round_trip(tmp_path):
     direct = sc.build_maxwell_system(sc.GridSpec(N=3, h=0.3))
     matrices = (direct.alpha, direct.beta, direct.gamma, direct.C)
     text = problem.read_text()
-    # Every block is real, so each stores plain numbers.  The diagonal
-    # weights and damping are stored as coordinates.  C is not: its negated
-    # curl blocks hold 2025 entries of -0.0, so its 2349 stored entries
-    # would take 3 * 2349 numbers against 6561 dense ones.
-    assert sum(map(_is_set, direct.C.flat)) == 2349
-    expected = {"schema_version": 1, "C": _plain(direct.C),
-                **{n: _coordinates(getattr(direct, n)) for n in ("alpha", "beta", "gamma")}}
+    # Every block is real, so each stores plain numbers, and every block is
+    # stored as coordinates: the curl holds no -0.0, so C's 324 set entries
+    # take 3 * 324 numbers against 6561 dense ones.
+    assert sum(map(_is_set, direct.C.flat)) == 324
+    expected = {"schema_version": 1,
+                **{n: _coordinates(getattr(direct, n)) for n in ("alpha", "beta", "gamma", "C")}}
     assert text == json.dumps(expected, sort_keys=True) + "\n"
     assert text.count("\n") == 1
     system = load_problem(str(problem))
     legacy = load_problem(_write_problem(tmp_path / "legacy.json", *matrices, **LEGACY))
     # Every stored imaginary part is +0.0, so each block loads as float64,
-    # and its real parts bit for bit (-0.0 included).
+    # and its real parts bit for bit.
     for name in ("alpha", "beta", "gamma", "C"):
         built = getattr(direct, name)
         assert built.dtype == np.float64
@@ -148,13 +147,21 @@ def test_an_imaginary_part_keeps_its_block_complex_through_a_round_trip(tmp_path
 def test_certify_reads_any_problem_layout(tmp_path):
     # The dumped file stores coordinates and plain numbers; copies with
     # every block as plain numbers or as [re, im] pairs, compact and
-    # indented, load the same block bytes (C holds -0.0 entries) and
-    # certify to the same report.
-    system = sc.build_maxwell_system(sc.GridSpec(N=3), sigma=0.7)
-    assert np.signbit(system.C[system.C == 0]).any()
+    # indented, load the same block bytes and certify to the same report.
+    # -0.0 planted on the zero diagonal of C is kept by every layout: the
+    # dump stores its 81 entries among C's coordinates.
+    built = sc.build_maxwell_system(sc.GridSpec(N=3), sigma=0.7)
+    C = built.C.copy()
+    C[np.diag_indices_from(C)] = -0.0
+    system = sc.validate_system(built.alpha, built.beta, built.gamma, C)
+    assert np.signbit(system.C[system.C == 0]).sum() == 81
     blocks = (system.alpha, system.beta, system.gamma, system.C)
     compact = tmp_path / "compact.json"
     cli.dump_problem(system, str(compact))
+    assert len(json.loads(compact.read_text())["C"]["values"]) == 324 + 81
+    again = tmp_path / "again.json"
+    cli.dump_problem(load_problem(str(compact)), str(again))
+    assert again.read_bytes() == compact.read_bytes()
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps({"schema_version": 1, **dict(zip(
         ("alpha", "beta", "gamma", "C"), map(_plain, blocks)))}))
@@ -279,6 +286,32 @@ def test_simulate_seed_reproduces_certify_trajectory(scalar_problem, tmp_path):
     sim = json.loads(sim_out.read_text())
     assert sim["fitted_rate"] == trajectory["fitted_rate"]
     assert sim["projection_residual"] == trajectory["projection_residual"]
+
+
+def test_simulate_too_short_to_fit_writes_a_null_rate(scalar_problem, tmp_path):
+    # 12 samples up to t = 1 are too few for the decay fit, which raises a
+    # StabcertError; the trajectory is still written, with no rate.
+    out = tmp_path / "s.json"
+    argv = ["simulate", scalar_problem, "--t-end", "1", "--samples", "12", "-o", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    assert data["fitted_rate"] is None
+    assert len(data["state_norms"]) == 12
+    assert "method" not in data
+
+
+def test_certify_prints_the_report_it_writes(scalar_problem, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["certify", scalar_problem, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["certify", scalar_problem]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    # Keys that held no information are gone from the report.
+    report = json.loads(out.read_text())
+    assert "fitted_decay_rate" not in report["oracles"]
+    assert "method" not in report["trajectory"]
+    assert report["certificate"]["audit"].keys() == {
+        "halvings", "max_resolvent_norm", "re_range", "im_range", "grid_shape"}
 
 
 def test_reduce_emits_transforms(scalar_problem, tmp_path):

@@ -387,7 +387,6 @@ class TestSimulate:
         U0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         trace = sc.simulate(B, U0, 10.0, 301)
         assert np.all(np.diff(trace.state_norms) <= 1e-10 * trace.state_norms[0])
-        assert trace.method == "pade"
 
     def test_zero_generator_is_constant(self):
         U0 = np.array([3.0, 4.0], dtype=complex)
@@ -407,7 +406,6 @@ class TestSimulate:
         # A Jordan block is as non-diagonalizable as it gets.
         B = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
         trace = sc.simulate(B, np.array([1.0, 1.0], dtype=complex), 5.0, 101)
-        assert trace.method == "pade"
         expected = np.linalg.norm(scipy.linalg.expm(5.0 * B) @ np.array([1.0, 1.0]))
         assert trace.state_norms[-1] == pytest.approx(expected, rel=1e-10)
 
@@ -483,7 +481,6 @@ class TestRestrictedSimulate:
             G = sc.assemble_generator(ns.gamma_tilde, ns.D)
             ref = sc.simulate(G, U0, audit.trace.times[-1], 801)
             norms = audit.trace.state_norms
-            assert audit.trace.method == ref.method, name
             assert np.max(np.abs(norms - ref.state_norms)) <= 1e-10 * ref.state_norms.max(), name
             assert audit.checks["restriction_consistent"], name
             count += 1
@@ -507,11 +504,7 @@ class TestRestrictedSimulate:
 class TestFitDecayRate:
     def test_exact_exponential(self):
         times = np.linspace(0.0, 20.0, 400)
-        trace = sc.TrajectoryTrace(
-            times=times,
-            state_norms=np.exp(-0.5 * times),
-            method="synthetic",
-        )
+        trace = sc.TrajectoryTrace(times=times, state_norms=np.exp(-0.5 * times))
         assert sc.fit_decay_rate(trace) == pytest.approx(0.5, abs=1e-8)
 
     def test_scalar_damped_rate(self):
@@ -529,18 +522,18 @@ class TestFitDecayRate:
         # oscillation, the envelope fit recovers the rate to high accuracy.
         times = np.linspace(0.0, 40.0, 4001)
         norms = np.exp(-0.3 * times) * (1.1 + np.cos(2.0 * times))
-        trace = sc.TrajectoryTrace(times, norms, "synthetic")
+        trace = sc.TrajectoryTrace(times, norms)
         assert sc.fit_decay_rate(trace) == pytest.approx(0.3, abs=1e-3)
 
     def test_underflow_detected(self):
         times = np.linspace(0.0, 300.0, 400)
-        trace = sc.TrajectoryTrace(times, np.exp(-0.5 * times), "synthetic")
+        trace = sc.TrajectoryTrace(times, np.exp(-0.5 * times))
         with pytest.raises(Underflow):
             sc.fit_decay_rate(trace)
 
     def test_too_few_samples(self):
         times = np.linspace(0.0, 1.0, 8)
-        trace = sc.TrajectoryTrace(times, np.exp(-times), "synthetic")
+        trace = sc.TrajectoryTrace(times, np.exp(-times))
         with pytest.raises(TooFewSamples):
             sc.fit_decay_rate(trace)
 
