@@ -61,7 +61,7 @@ def main():
 
     print("\nsmall-frequency audit: Neumann cover of Re z >= %.4f, |z| <= %.3f"
           % (cert.audit.re_range[0], cert.audit.im_range[1]))
-    print("  resolvent evaluations: %d, halvings: %d, largest enclosure: %.3f"
+    print("  centres tested: %d, halvings: %d, largest square bound: %.3f"
           % (cert.audit.grid_shape[1], cert.audit.halvings, cert.audit.max_resolvent_norm))
 
     print("\ncertificate:  decay rate >= %.5f,  resolvent bound M = %.2f"
@@ -74,7 +74,7 @@ def main():
     cover = audit.cover
     print("  resolvent cover of Re z >= %+.5f, rectangle [%.3g, %.3g] x [-%.3f, %.3f]:"
           % (-cover.a, *cover.re_range, cover.im_range[1], cover.im_range[1]))
-    print("    %d evaluations, largest enclosure %.3f (bound %.2f), passed: %s"
+    print("    %d evaluations, largest square bound %.3f (M_total %.2f), passed: %s"
           % (cover.evaluations, cover.max_enclosure, cert.M_total, cover.passed))
     print("  trajectory on B_res: |G F - F B_res| / |G| = %.1e, |F* F - I| = %.1e"
           % (audit.restriction_residual, audit.frame_defect))

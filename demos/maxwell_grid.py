@@ -36,8 +36,8 @@ def main():
     print("  projection residual of the random initial state: %.3f"
           % audit.projection_residual)
     cover = audit.cover
-    print("  resolvent cover of Re z >= %+.5f: %d evaluations, largest enclosure %.3f"
-          " (bound %.1f), passed: %s"
+    print("  resolvent cover of Re z >= %+.5f: %d evaluations, largest square bound %.3f"
+          " (M_total %.1f), passed: %s"
           % (-cover.a, cover.evaluations, cover.max_enclosure, cert.M_total, cover.passed))
 
     # The inadmissible part of the state is frozen: start inside ker(curl*).

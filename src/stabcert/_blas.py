@@ -1,6 +1,6 @@
 """One BLAS thread for the dense kernels, and the CPUs a worker may use.
 
-The certificate's kernels are dense factorizations (SVDs and
+The certificate's kernels are dense factorizations (Cholesky, SVDs and
 eigendecompositions) of at most 640 rows.  OpenBLAS splits each over its
 threads; up to about 300 rows that costs more than it gains, and
 independent kernels on separate Python threads use the cores better.

@@ -130,9 +130,12 @@ class AuditRecord:
     """Outcome of the small-frequency Neumann cover.
 
     ``re_range`` x ``im_range`` bounds the covered disk segment,
-    ``grid_shape`` is 1 x (resolvent evaluations of the passing pass), and
-    ``max_resolvent_norm`` is the largest enclosure, a bound on the segment.
-    Only a passed cover is recorded: a failed one raises CertificateFailure.
+    ``grid_shape`` is 1 x (square centres tested in the passing pass), and
+    ``max_resolvent_norm`` is the largest norm bound shown on a covered
+    square, a bound on the segment: M_total itself where the Cholesky test
+    proved every square, smaller where a square fell back to the SVD's
+    enclosure (see :func:`~stabcert.verify._neumann_squares`).  Only a
+    passed cover is recorded: a failed one raises CertificateFailure.
     """
 
     halvings: int
@@ -341,8 +344,9 @@ def _small_frequency_audit(
     side 2 im_half with left edge Re z = -delta, and the squares that meet the
     disk are refined as in :func:`~stabcert.verify._neumann_squares`, within
     ``M_total`` and _AUDIT_EVALS evaluations; a cover that does not finish
-    halves delta.  A passed cover proves S free of spectrum with norm at most
-    the largest enclosure, up to the rounding of the centre norms.
+    halves delta.  A passed cover shows S free of spectrum with norm at most
+    the largest bound it records, M_total where the Cholesky test decided
+    every square: then the rounding is enclosed and the cover is a proof.
     """
 
     def meets_disk(kids, side):
@@ -350,7 +354,7 @@ def _small_frequency_audit(
 
     for halvings, delta in enumerate([delta * 0.5**k for k in range(21)]):
         centres = np.array([im_half - delta + 0j])  # covers S since delta < im_half
-        passed, evals, largest, enclosure = _neumann_squares(
+        passed, evals, enclosure = _neumann_squares(
             B_res, centres, 2.0 * im_half, M_total, meets_disk, _AUDIT_EVALS
         )
         if passed:
@@ -360,18 +364,19 @@ def _small_frequency_audit(
             )
     raise CertificateFailure(
         f"small-frequency audit failed after 20 halvings; at -delta {-delta:.6g} the cover "
-        f"stopped after {evals} evaluations, largest centre norm {largest:.6g} vs bound {M_total:.6g}"
+        f"stopped after {evals} evaluations without bounding the norm by {M_total:.6g}"
     )
 
 
-_AUDIT_EVALS = 128  # dense resolvent evaluations per pass of the small-frequency cover
+_AUDIT_EVALS = 128  # square centres tested per pass of the small-frequency cover
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
-# and the oracle cover take dense m x m SVDs, a few dozen in practice: with
-# per-cell materials at N = 5 (m = 623, admitted) audit_system took 1.8 s on
-# 2 cores, 1.3 s of it in the cover's 9 centres (5 SVDs, one per conjugate
-# pair) on one BLAS thread, overlapped with the other oracles.  A cover that
-# runs into its cap of 802 centres would take about 80 s there (401 SVDs of
-# about 0.19 s each); N = 6 (m = 1064) is refused.
+# and the oracle cover factor dense m x m matrices, a few dozen in practice,
+# and the oracles take dense eigenvalues: with per-cell materials at N = 5
+# (m = 623, admitted) audit_system takes 0.64 to 0.68 s on 2 cores, 0.22 s
+# of it in the cover's 9 centres on one BLAS thread, overlapped with the
+# other oracles (about 0.5 s).  A cover that runs into its cap of 802
+# centres would take about 36 s there (401 Gram and Cholesky tests of
+# about 0.09 s each); N = 6 (m = 1064) is refused.
 _MAX_AUDIT_DIM = 640
 
 
@@ -578,18 +583,17 @@ def _spectral_oracles(prep: PreparedProblem, seed: int):
 # mostly hand the interpreter lock back and forth: a pass over the 200-system
 # benchmark corpus (m <= 12) took 0.80 s overlapped against 0.53 s serial.
 # Random systems at m = 16 to 64 showed no clear difference either way.  On
-# the N = 3 grids (m = 133), audit_system took a quarter to a third less time
-# overlapped: medians of 40 interleaved pairs on 2 cores, 32 against 45 ms
-# on unit material (overlap faster in 37 pairs) and 39 against 50 ms with
-# per-cell materials (39 pairs).  There this thread runs eigvals, about
-# 10 ms, which holds the lock, and the trajectory's matrix products and one
-# solve, which release it: against one thread running a call twice, two
-# threads running it once each were 0.94 times as fast for eigvals and 1.7
-# to 1.9 times as fast for the others.  numpy 2.4 releases
-# the lock in its linalg kernels only above about 500 outputs: a
-# single-matrix svd(compute_uv=False) and eigvalsh at m = 133 hold it too,
-# and so does the cover's stacked SVD of 3 x 133 values, while one of
-# 4 x 133 releases it.
+# the N = 3 grids (m = 133), audit_system took an eighth less time
+# overlapped: medians of 40 interleaved pairs on 2 cores, 24 against 28 ms
+# on unit material (overlap faster in 39 pairs) and 30 against 33 ms with
+# per-cell materials (36 pairs).  There this thread runs eigvals, about
+# 10 ms, and the trajectory's matrix products and one solve, while the
+# cover's Grams and Cholesky factorizations run on the worker.  At m = 133,
+# measured as the progress a pure-Python loop keeps beside a thread that
+# runs the kernel, numpy 2.4 holds the lock in eigvals, eigvalsh and a
+# single-matrix svd(compute_uv=False), which the cover's fallback takes, and
+# in a stacked SVD of 3 x 133 values; it releases the lock in matrix
+# products, solve, Cholesky factorizations and a stacked SVD of 4 x 133.
 _OVERLAP_MIN_DIM = 64
 
 

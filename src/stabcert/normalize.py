@@ -9,7 +9,8 @@ The transported coefficient blocks are
 
 and coercivity, adjoints, ranks/ranges and decay statements transfer both
 ways.  Square roots are taken by full Hermitian eigendecomposition, which
-is exact and simple at the dense sizes targeted here; near-singular
+is exact and simple at the dense sizes targeted here, and entry by entry
+for a diagonal weight such as a grid's; near-singular
 weights are refused rather than regularized, because the theory assumes
 strict coercivity.
 """
@@ -80,16 +81,24 @@ def sqrt_factor(M) -> tuple[ComplexMatrix, ComplexMatrix]:
 
 
 def _sqrt_factor(M: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """:func:`sqrt_factor` of a square matrix already checked Hermitian."""
-    w, V = np.linalg.eigh(hermitian_part(M))
-    if M.shape[0] and (w[0] <= 0.0 or w[0] <= 1e-12 * w[-1]):
+    """:func:`sqrt_factor` of a square matrix already checked Hermitian.
+
+    A diagonal M, such as a grid's weights, is its own eigendecomposition:
+    its roots are taken entry by entry.
+    """
+    diagonal = np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
+    if diagonal:
+        w = np.diagonal(M).real
+    else:
+        w, V = np.linalg.eigh(hermitian_part(M))
+    if M.shape[0] and (w.min() <= 0.0 or w.min() <= 1e-12 * w.max()):
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {w[0]:.6g} (largest {w[-1]:.6g}); refusing to factor"
+            f"smallest eigenvalue {w.min():.6g} (largest {w.max():.6g}); refusing to factor"
         )
     s = np.sqrt(w)
-    sqrt = (V * s) @ V.conj().T
-    sqrt_inv = (V / s) @ V.conj().T
-    return sqrt, sqrt_inv
+    if diagonal:
+        return np.diag(s).astype(M.dtype), np.diag(1.0 / s).astype(M.dtype)
+    return (V * s) @ V.conj().T, (V / s) @ V.conj().T
 
 
 def normalize_system(sys: BlockSystem) -> NormalizedSystem:

@@ -13,10 +13,15 @@ F* F = I for the frame embedding F, and :func:`restriction_defects`
 measures both on the computed matrices; :func:`simulate` on G itself stays
 the reference it is tested against.
 
-Every resolvent norm is one dense SVD, :func:`_resolvent_norms`.  The
-resolvent oracle of the certificate is :func:`resolvent_cover`, a
-Neumann-series cover of a whole half-plane; :func:`gp_sweep` samples one
-vertical line, for diagnostics.
+The resolvent oracle of the certificate is :func:`resolvent_cover`, a
+Neumann-series cover of a whole half-plane.  Each of its squares asks
+whether sigma_min(z0 I - B) >= s at the centre z0, and one verified Cholesky
+test answers for a whole stack of centres (:func:`_sigma_min_test`): a
+factorization that completes proves the bound, rounding included.  Where
+the bound is too close to rounding level for the test to decide, the
+square falls back to the dense SVD of :func:`_resolvent_norms`, which also
+gives every resolvent norm of :func:`resolvent_norm` and of
+:func:`gp_sweep`, a sample of one vertical line for diagnostics.
 """
 
 from __future__ import annotations
@@ -87,10 +92,12 @@ class CoverReport:
 
     ``re_range`` x ``im_range`` is the rectangle the squares cover, ``h``
     the largest eigenvalue of the Hermitian part of B, ``evaluations`` the
-    square centres evaluated, and ``max_enclosure`` the largest enclosure
-    of a covered square (0.0 when no square is covered).  The rectangle's
-    half-height is ||B|| + 1/bound, so the record depends on the operator,
-    not on the frames it is written in, up to rounding.
+    square centres evaluated, and ``max_enclosure`` the largest norm bound
+    shown on a covered square (0.0 when no square is covered): ``bound``
+    itself on a square the Cholesky test proved, the SVD's Neumann
+    enclosure on one that fell back to it (see :func:`_neumann_squares`).
+    The rectangle's half-height is ||B|| + 1/bound, so the record depends on
+    the operator, not on the frames it is written in, up to rounding.
     """
 
     a: float
@@ -137,8 +144,7 @@ def _max_hermitian_eig(B) -> float:
 
 
 # Bytes of one stack of shifted matrices z I - B handed to the batched SVD:
-# every point of a 401-point sweep at once for m <= 12, a pass's 128 audit
-# centres for m <= 78.
+# every point of a 401-point sweep at once for m <= 12, 44 points at m = 133.
 _RESOLVENT_STACK_BYTES = 12 * 2**20
 
 
@@ -192,41 +198,186 @@ def resolvent_norm(B, z) -> float:
     return float(norms[0])
 
 
-def _neumann_squares(B, centres, side, bound, meets, cap) -> tuple[bool, int, float, float]:
+# Unit roundoff of IEEE double precision.
+_U = 2.0**-53
+# The Cholesky test decides a centre when its rounding allowance is at most
+# this share of s**2; a bound that close to rounding level falls back to the SVD.
+_DECIDES = 2.0**-10
+# Bytes of one stack of Gram matrices.  Forming and factoring a stack holds
+# up to three such stacks at once (shifted matrices, a conjugate copy or the
+# Gram, the factors): one 133 x 133 complex matrix per stack, several
+# hundred of the corpus's.
+_GRAM_STACK_BYTES = 2**19
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the bound on k successive roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Prove sigma_min(z I - B) >= s at every z in ``zs`` with one Cholesky test.
+
+    B is a nonempty square matrix.  Returns ``(proved, decided)``.  Where
+    the rounding allowance c below is at most _DECIDES s**2, the test is
+    decided: A = fl(z I - B) is formed, its Gram fl(A* A) shifted by
+    t = (s + e)**2 + c on the diagonal, and ``proved`` holds where the
+    Cholesky factorization completes.  A centre that is not decided is not
+    factored, and ``proved`` is false there.
+
+    A completed factorization is a proof (Rump, "Verification of positive
+    definiteness", BIT 46, 2006), with u the unit roundoff, k = 2m + 2 and
+    w = sqrt(2) gamma_k in complex arithmetic (k = m + 1 and w = gamma_k in
+    real) and F >= ||A||_F**2 computed from the diagonal before any product:
+
+    * only the diagonal of z I - B rounds, by at most e = 2u max |A_ii|, so
+      sigma_min(z I - B) >= sigma_min(A) - e;
+    * each Gram entry is a sum of at most 2m real products, so
+      ||fl(A* A) - A* A||_2 <= w F (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2002, sections 3.1 and 3.6), also for the
+      Hermitian matrix of the one triangle the factorization reads;
+    * a Cholesky factorization that completes on X = fl(G - t I) gives
+      R* R = X + dX with ||dX||_2 <= w / (1 - w) tr X (Demmel's bound), and
+      the shift rounds the diagonal by at most u tr X <= u (1 + u)(1 + w) F.
+
+    So lambda_min(A* A) >= t - 3 w F >= (s + e)**2 with c = 3 w F (plus
+    m 2**-1070 for underflow), whose rounding the spare 0.4 w F of the sum
+    encloses; t itself is rounded up.
+
+    The stacks hold at most _GRAM_STACK_BYTES, and only a stack whose
+    factorization fails is factored again matrix by matrix.  For a real B a
+    pair of conjugate points shares one test, and real points run in real
+    arithmetic.
+    """
+    m = B.shape[0]
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if np.isrealobj(B):
+        shifts, back = np.unique(np.where(zs.imag < 0, zs.conj(), zs), return_inverse=True)
+    else:
+        shifts, back = zs, slice(None)
+    off_diagonal_sq = B.real**2 + B.imag**2
+    np.fill_diagonal(off_diagonal_sq, 0.0)
+    diagonal = shifts[:, None] - np.diag(B)  # the diagonal of each A, as formed below
+    diagonal_sq = diagonal.real**2 + diagonal.imag**2
+    F = (diagonal_sq.sum(axis=1) + off_diagonal_sq.sum()) * (1.0 + 2.0 * _gamma(m * m + 4))
+    e = 2.0 * _U * np.sqrt(diagonal_sq.max(axis=1))
+    real = (shifts.imag == 0) if np.isrealobj(B) else np.zeros(shifts.shape, dtype=bool)
+    w = np.where(real, _gamma(m + 1), math.sqrt(2.0) * _gamma(2 * m + 2))
+    t = ((s + e) ** 2 + 3.0 * w * F + m * 2.0**-1070) * (1.0 + 8.0 * _U)
+    decided = t <= (1.0 + _DECIDES) * s * s
+    proved = np.zeros(shifts.shape, dtype=bool)
+    for group, points in ((decided & real, shifts.real), (decided & ~real, shifts)):
+        if group.any():
+            proved[group] = _factors(B, points[group], t[group])
+    return proved[back], decided[back]
+
+
+def _factors(B, shifts, t) -> np.ndarray:
+    """Where the Cholesky factorization of fl(A* A) - t I, A = z I - B, completes.
+
+    For a real B and complex points z = x + iy the Gram is
+    (x I - B)^T (x I - B) + y**2 I + i y (B - B^T): one real product.  Its
+    rounding, gamma_m |x I - B|^T |x I - B| and 2u y**2 on the real part and
+    gamma_2 |y| |B - B^T| on the imaginary part, is at most
+    gamma_{m+5} ||A||_F**2 in norm, which the allowance of
+    :func:`_sigma_min_test` encloses as it does the complex Gram's.
+    """
+    m = B.shape[0]
+    eye = np.eye(m)
+    split = np.isrealobj(B) and np.iscomplexobj(shifts)
+    skew = B - B.T if split else None
+    done = np.zeros(shifts.shape, dtype=bool)
+    chunk = max(1, _GRAM_STACK_BYTES // (np.result_type(shifts, B).itemsize * m * m))
+    for start in range(0, shifts.size, chunk):
+        part = slice(start, start + chunk)
+        points = shifts[part]
+        A = (points.real if split else points)[:, None, None] * eye
+        A -= B
+        X = np.matmul(A.conj().swapaxes(1, 2), A)
+        del A
+        if split:
+            X = X.astype(complex)
+            np.multiply(points.imag[:, None, None], skew, out=X.imag)
+        diagonal = X.reshape(len(X), m * m)[:, :: m + 1]
+        if split:
+            diagonal += (points.imag**2)[:, None]
+        diagonal -= t[part, None]
+        if _completes(X):
+            done[part] = True
+        elif len(X) > 1:
+            done[part] = [_completes(x) for x in X]
+    return done
+
+
+def _completes(X) -> bool:
+    """Whether np.linalg.cholesky factors X, or every matrix of the stack X."""
+    try:
+        np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _neumann_squares(B, centres, side, bound, meets, cap) -> tuple[bool, int, float]:
     """Cover squares of side ``side`` at ``centres`` by Neumann enclosures.
 
-    By the Neumann series, ||R(z0)|| = rho and |z - z0| <= r < 1/rho give
-    ||R(z)|| <= rho / (1 - rho r) (Trefethen and Embree, *Spectra and
-    Pseudospectra*, 2005).  The squares are evaluated level by level with the
-    dense SVD.  A square whose enclosure over its half-diagonal is within
-    ``bound`` is covered; any other splits in four, and the quarters for
-    which ``meets(kids, side)`` holds go on.  A singular centre, a centre
-    norm above ``bound``, or a level that would take the evaluations past
-    ``cap`` leaves the cover unfinished.
+    For |z - z0| <= r, sigma_min(z I - B) >= sigma_min(z0 I - B) - r, so
+    sigma_min(z0 I - B) >= r + 1/bound gives ||R(z)|| <= bound on the disk of
+    radius r about z0 (the Neumann series; Trefethen and Embree, *Spectra
+    and Pseudospectra*, 2005).  The squares are tested level by level, each
+    centre by :func:`_sigma_min_test` at r = its half-diagonal, widened by
+    2u (level + 2) max |z0| for the rounding of the centres' coordinates:
+    a square the test proves is covered, and any other splits in four, the
+    quarters for which ``meets(kids, side)`` holds going on.  A centre the
+    test fails is tested again at s = 1/bound: failing that too, its norm
+    is above ``bound`` and the cover stops, which only saves work.  A centre
+    the test cannot decide follows the dense SVD's rule: rho = ||R(z0)||,
+    covered when the enclosure rho / (1 - rho r) is within ``bound``, the
+    cover stopped when rho exceeds it or z0 is singular.  A level that would
+    take the evaluations past ``cap`` also leaves the cover unfinished.
 
-    Returns ``(passed, evaluations, largest centre norm, largest enclosure
-    of a covered square)``.  A passed cover proves every square free of
-    spectrum with norm at most that enclosure, up to the rounding of the
-    centre norms.
+    Returns ``(passed, evaluations, largest norm bound shown on a covered
+    square)``: ``bound`` on a square the test proved, the enclosure on one
+    the SVD decided.  A passed cover whose squares the test decided proves
+    every square free of spectrum with norm at most ``bound``.
     """
     corners = 0.5 * np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
-    evals, largest, enclosed = 0, 0.0, []
+    evals, enclosed, level = 0, 0.0, 0
     while centres.size and evals + centres.size <= cap:
         evals += centres.size
-        rho = _resolvent_norms(B, centres)[0]  # +inf at a singular centre
-        largest = max(largest, float(rho.max()))
-        if largest > bound:
+        covered, stop, enclosure = _decide_squares(B, centres, side, bound, level)
+        if stop.any():
             break
-        slack = 1.0 - rho * side / math.sqrt(2.0)
-        enclosure = np.divide(rho, slack, out=np.full_like(rho, math.inf), where=slack > 0)
-        enclosed.extend(enclosure[enclosure <= bound].tolist())
+        enclosed = max(enclosed, float(enclosure[covered].max(initial=0.0)))
         side *= 0.5
-        kids = (centres[enclosure > bound, None] + side * corners).ravel()
+        level += 1
+        kids = (centres[~covered, None] + side * corners).ravel()
         centres = kids[meets(kids, side)]
-    return not centres.size, evals, largest, max(enclosed, default=0.0)
+    return not centres.size, evals, enclosed
 
 
-_COVER_EVALS = 802  # dense evaluations a cover may spend: those of two 401-point sweeps
+def _decide_squares(B, centres, side, bound, level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(covered, stop, enclosure)`` of each square of one level; see :func:`_neumann_squares`."""
+    r = side / math.sqrt(2.0) + 2.0 * _U * (level + 2) * float(np.abs(centres).max())
+    covered, decided = _sigma_min_test(B, centres, (r + 1.0 / bound) * (1.0 + 8.0 * _U))
+    stop = np.zeros(centres.shape, dtype=bool)
+    failed = decided & ~covered
+    if failed.any():
+        held, again = _sigma_min_test(B, centres[failed], 1.0 / bound)
+        stop[failed] = again & ~held
+        decided[failed] = again  # undecided at 1/bound: the SVD's rule decides
+    enclosure = np.where(covered, bound, math.inf)
+    if not decided.all():
+        rho = _resolvent_norms(B, centres[~decided])[0]  # +inf at a singular centre
+        slack = 1.0 - rho * side / math.sqrt(2.0)
+        svd_enclosure = np.divide(rho, slack, out=np.full_like(rho, math.inf), where=slack > 0)
+        enclosure[~decided] = svd_enclosure
+        covered[~decided] = svd_enclosure <= bound
+        stop[~decided] = rho > bound
+    return covered, stop, enclosure
+
+
+_COVER_EVALS = 802  # square centres a cover may test: the points of two 401-point sweeps
 
 
 def resolvent_cover(B, a: float, bound: float) -> CoverReport:
@@ -240,8 +391,8 @@ def resolvent_cover(B, a: float, bound: float) -> CoverReport:
     ||R(z)|| <= 1/(|z| - ||B||) by the Neumann series.  The rectangle is
     covered by a row of squares of side max(width, min(2R, 0.5)) whose left
     edge is Re z = -a, refined as in :func:`_neumann_squares` with at most
-    _COVER_EVALS dense evaluations (counted per centre, although a real B
-    pays one SVD per conjugate pair); when h + 1/bound < -a the rectangle is
+    _COVER_EVALS evaluations (counted per centre, although a real B pays
+    one test per conjugate pair); when h + 1/bound < -a the rectangle is
     empty and needs none.  A cover that does not finish returns ``passed``
     false instead of raising.
     """
@@ -258,7 +409,7 @@ def resolvent_cover(B, a: float, bound: float) -> CoverReport:
     def meets(kids, side):
         return (kids.real - 0.5 * side <= x1) & (np.abs(kids.imag) - 0.5 * side <= R)
 
-    passed, evals, _, enclosure = _neumann_squares(
+    passed, evals, enclosure = _neumann_squares(
         B, centres[meets(centres, side)], side, bound, meets, _COVER_EVALS
     )
     return CoverReport(
@@ -357,9 +508,17 @@ def _trajectory_input(U0, n: int, t_end: float, samples: int) -> tuple[np.ndarra
     return U0, np.linspace(0.0, t_end, samples)
 
 
-# Coefficients b_0..b_13 of p in the [13/13] Pade approximant p(x)/p(-x) of
+# Coefficients b_0..b_m of p in the [m/m] Pade approximant p(x)/p(-x) of
 # exp, and the largest ||A||_1 at which its backward error stays below the
 # unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
+_PADE = {
+    3: ((120.0, 60.0, 12.0, 1.0), 1.495585217958292e-2),
+    5: ((30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0), 2.539398330063230e-1),
+    7: ((17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+        9.504178996162932e-1),
+    9: ((17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+         2162160.0, 110880.0, 3960.0, 90.0, 1.0), 2.097847961257068e0),
+}
 _PADE13 = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
@@ -369,21 +528,33 @@ _THETA13 = 5.371920351148152
 
 
 def _expm(A) -> np.ndarray:
-    """exp(A) by scaling and squaring with the [13/13] Pade approximant.
+    """exp(A) by scaling and squaring with a Pade approximant (Higham 2005).
 
-    A is scaled by 2**-s so that ||A||_1 <= _THETA13, the approximant
-    r = q(A)^-1 p(A) is formed with six products and one solve, and squared
-    s times (Higham 2005).  Unlike an eigendecomposition, it is accurate
-    however ill-conditioned the eigenvectors of A are.
+    The smallest degree m in (3, 5, 7, 9) with ||A||_1 <= theta_m gives
+    r = q(A)^-1 p(A) from (m + 1)/2 products and one solve.  Above theta_9,
+    A is scaled by 2**-s so that ||A||_1 <= _THETA13, the [13/13]
+    approximant is formed with six products and one solve, and squared s
+    times.  Unlike an eigendecomposition, it is accurate however
+    ill-conditioned the eigenvectors of A are.
     """
     A = np.asarray(A)
     if not A.size:
         return np.array(A)
     norm = float(np.abs(A).sum(axis=0).max())
+    eye = np.eye(A.shape[0], dtype=A.dtype)
+    for b, theta in _PADE.values():
+        if norm <= theta:
+            A2 = A @ A
+            power, U, V = A2, b[1] * eye + b[3] * A2, b[0] * eye + b[2] * A2
+            for j in range(4, len(b), 2):
+                power = power @ A2
+                U += b[j + 1] * power
+                V += b[j] * power
+            U = A @ U
+            return np.linalg.solve(V - U, V + U)
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
     A = A * 0.5**s
     b = _PADE13
-    eye = np.eye(A.shape[0], dtype=A.dtype)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2

@@ -20,7 +20,7 @@ from stabcert import (
 from stabcert import certificate, verify
 from stabcert._blas import _openblas_threads
 from stabcert.certificate import _small_frequency_audit, prepare
-from stabcert.verify import _resolvent_norms, admissible_start, random_components
+from stabcert.verify import _resolvent_norms, _sigma_min_test, admissible_start, random_components
 
 from helpers import haar_unitary, random_block_system, random_coercive, random_real_block_system
 
@@ -533,22 +533,30 @@ class TestPrepare:
 
     def test_oracles_evaluate_few_resolvents(self, monkeypatch):
         # On a per-cell N = 3 grid, where no scalar shortcut applies, the
-        # audit and the cover evaluate fewer than 100 resolvent norms in all
-        # (two 401-point sweeps took 802), and nothing else evaluates one.
+        # audit and the cover test fewer than 100 square centres in all (two
+        # 401-point sweeps took 802), the Cholesky test decides each of them,
+        # and nothing evaluates a resolvent norm by SVD.
         s = _hetero_grid()
-        points = []
+        points, norms = [], []
 
-        def spy(B, zs):
+        def spy(B, zs, s):
             points.append(np.asarray(zs).size)
+            return _sigma_min_test(B, zs, s)
+
+        def svd_spy(B, zs):
+            norms.append(np.asarray(zs).size)
             return _resolvent_norms(B, zs)
 
         for module in (certificate, verify):
             for attr, value in list(vars(module).items()):
-                if value is _resolvent_norms:
+                if value is _sigma_min_test:
                     monkeypatch.setattr(module, attr, spy)
+                if value is _resolvent_norms:
+                    monkeypatch.setattr(module, attr, svd_spy)
         audit = sc.audit_system(s)
         assert all(audit.checks.values())
         assert 0 < sum(points) < 100
+        assert not norms
         assert audit.certificate.audit.halvings == 0
         assert sum(points) == audit.cover.evaluations + audit.certificate.audit.grid_shape[1]
 

@@ -30,6 +30,24 @@ class TestSqrtFactor:
         sqrt, _ = sc.sqrt_factor([[2.0, 1.0], [1.0, 2.0]])
         assert np.allclose(sqrt, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_weight_matches_its_eigendecomposition(self, dtype):
+        # A diagonal weight takes its roots entry by entry; the eigenvector
+        # route gives the same bits, the grid weights' sizes included, and
+        # the same refusal.
+        rng = np.random.default_rng(24)
+        for n in (1, 5, 81):
+            M = np.diag(rng.uniform(0.5, 2.0, n)).astype(dtype)
+            w, V = np.linalg.eigh(M)
+            for got, ref in zip(sc.sqrt_factor(M), ((V * np.sqrt(w)) @ V.conj().T,
+                                                    (V / np.sqrt(w)) @ V.conj().T)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+        for diagonal in ([2.0, -1.0], [1.0, 1e-13]):
+            with pytest.raises(NotPositiveDefinite, match=r"^smallest eigenvalue %g \(largest %g\); "
+                               % (min(diagonal), max(diagonal))):
+                sc.sqrt_factor(np.diag(diagonal).astype(dtype))
+
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             sc.sqrt_factor([[0.0, 1.0], [1.0, 0.0]])

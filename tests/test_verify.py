@@ -364,6 +364,88 @@ class TestResolventCover:
         assert cover.re_range == (-0.1, -0.5)
 
 
+def _mp_sigma_min(B, z) -> "mpmath.mpf":
+    """sigma_min(z I - B) to 50 digits; every double converts exactly."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        A = mpmath.matrix(B.shape[0])
+        for i, j in np.ndindex(B.shape):
+            A[i, j] = (z if i == j else 0) - mpmath.mpc(complex(B[i, j]))
+        return min(mpmath.svd_c(A, compute_uv=False))
+
+
+class TestSigmaMinTest:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        complex_b=st.booleans(),
+        complex_z=st.booleans(),
+        scale=st.floats(1e-3, 1e3),
+        offset=st.floats(-1e-8, 1e-8),
+    )
+    def test_never_accepts_below_the_true_sigma_min(self, seed, m, complex_b, complex_z, scale, offset):
+        # s within 1e-8 relative of the 50-digit sigma_min of the first
+        # centre, on either side; the others share that s.  A proof must
+        # never be claimed where the true sigma_min is below s.
+        rng = np.random.default_rng(seed)
+        B = scale * rng.standard_normal((m, m))
+        if complex_b:
+            B = B + 1j * scale * rng.standard_normal((m, m))
+        zs = scale * rng.standard_normal(3)
+        if complex_z:
+            zs = zs + 1j * scale * rng.standard_normal(3)
+        truth = [_mp_sigma_min(B, complex(z)) for z in zs]
+        s = float(truth[0]) * (1.0 + offset)
+        proved, decided = verify._sigma_min_test(B, zs, s)
+        for z, sigma, ok in zip(zs, truth, proved):
+            assert not ok or sigma >= s, (z, sigma, s)
+        assert not (proved & ~decided).any()
+
+    def test_accepts_a_margin_of_1e_8(self):
+        # Well-conditioned points: the allowance is far below 1e-8 s**2, so
+        # the test proves sigma_min >= s one part in 1e8 below the truth.
+        rng = np.random.default_rng(3)
+        for complex_b in (False, True):
+            B = rng.standard_normal((8, 8)) + (1j * rng.standard_normal((8, 8)) if complex_b else 0)
+            for z in (2.5, 1.0 + 4.0j):
+                sigma = float(_mp_sigma_min(B, z))
+                assert verify._sigma_min_test(B, [z], sigma * (1 - 1e-8))[0].all()
+                assert not verify._sigma_min_test(B, [z], sigma * (1 + 1e-8))[0].any()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_failing_matrix_in_a_stack_marks_its_centre(self, dtype, monkeypatch):
+        # A normal B with spectrum {0, 1, 2, 3}: sigma_min(z I - B) is the
+        # distance from z to it.  Only 1.1 + 0.05j lies within 0.5, so the
+        # stacked factorization fails and each matrix is factored again.
+        B = np.diag([0.0, 1.0, 2.0, 3.0]).astype(dtype)
+        zs = np.array([1.5 + 2.0j, 1.1 + 0.05j, -1.0 + 1.0j, 4.0 + 3.0j, 1.5 - 2.0j])
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def spy(X):
+            calls.append(np.shape(X))
+            return cholesky(X)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        proved, decided = verify._sigma_min_test(B, zs, 0.5)
+        assert decided.all()
+        assert proved.tolist() == [True, False, True, True, True]
+        stack = 5 if dtype is complex else 4  # a real B shares one test per conjugate pair
+        assert calls == [(stack, 4, 4)] + [(4, 4)] * stack
+
+    def test_a_bound_at_rounding_level_is_not_decided(self):
+        # At s = 1e-13, s**2 is far below the rounding allowance of a Gram:
+        # no centre is factored and nothing is proved, not even 0.5, where
+        # sigma_min = 0.5.  At s = 0.25 the same centres are decided.
+        B = np.diag([0.0, 1.0])
+        proved, decided = verify._sigma_min_test(B, [1e-12, 0.5], 1e-13)
+        assert not decided.any() and not proved.any()
+        proved, decided = verify._sigma_min_test(B, [1e-12, 0.5], 0.25)
+        assert decided.all() and proved.tolist() == [False, True]
+
+
 class TestSpectralAbscissa:
     def test_scalar_damped(self):
         expected = float(np.roots([1.0, 1.0, 1.0]).real.max())
@@ -433,6 +515,23 @@ class TestExpm:
                 assert E.dtype == ref.dtype
                 assert np.abs(E - ref).max() <= 1e-13 * max(norm, 1.0) * np.abs(ref).max(), (n, norm)
         assert squarings == set(range(9))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_each_degree_at_its_theta(self, dtype):
+        # Just below theta_m the degree-m approximant runs unscaled; just
+        # above, the next degree (above theta_9, degree 13) takes over.
+        rng = np.random.default_rng(31)
+        thetas = [theta for _, theta in verify._PADE.values()] + [verify._THETA13]
+        for theta in thetas:
+            for norm in (theta * (1 - 1e-6), theta * (1 + 1e-6)):
+                for n in (1, 3, 12):
+                    A = rng.standard_normal((n, n)).astype(dtype)
+                    if dtype is complex:
+                        A += 1j * rng.standard_normal((n, n))
+                    A *= norm / np.abs(A).sum(axis=0).max()
+                    E, ref = verify._expm(A), scipy.linalg.expm(A)
+                    assert E.dtype == ref.dtype
+                    assert np.abs(E - ref).max() <= 1e-13 * max(norm, 1.0) * np.abs(ref).max(), (theta, norm, n)
 
     def test_jordan_block(self):
         J = np.array([[-1.0, 1.0], [0.0, -1.0]])
