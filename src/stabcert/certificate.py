@@ -59,6 +59,7 @@ from .verify import (
     CoverReport,
     TrajectoryTrace,
     _neumann_squares,
+    _unlocked_eigvals,
     admissible_start,
     fit_decay_rate,
     random_components,
@@ -372,10 +373,10 @@ _AUDIT_EVALS = 128  # square centres tested per pass of the small-frequency cove
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
 # and the oracle cover factor dense m x m matrices, a few dozen in practice,
 # and the oracles take dense eigenvalues: with per-cell materials at N = 5
-# (m = 623, admitted) audit_system takes 0.64 to 0.68 s on 2 cores, 0.22 s
-# of it in the cover's 9 centres on one BLAS thread, overlapped with the
-# other oracles (about 0.5 s).  A cover that runs into its cap of 802
-# centres would take about 36 s there (401 Gram and Cholesky tests of
+# (m = 623, admitted) audit_system takes 0.83 to 1.15 s on 2 cores, about
+# 0.24 s of it in the cover's 9 centres on one BLAS thread, beside the
+# abscissa's eigensolve (about 0.28 s).  A cover that runs into its cap of
+# 802 centres would take about 36 s there (401 Gram and Cholesky tests of
 # about 0.09 s each); N = 6 (m = 1064) is refused.
 _MAX_AUDIT_DIM = 640
 
@@ -501,30 +502,40 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     The oracles follow one fixed recipe: a cover proving the resolvent norm
     of the restricted generator at most M_total (relative slack 1e-6) on
     Re z >= -delta_cert/2, which holds both lines the sweep verdicts name;
-    the spectral abscissa of the restricted generator, from its eigenvalues
-    alone; the 801-sample trajectory of a random admissible start drawn
-    from ``seed``, from one Pade exponential and no eigenvectors, with the
-    decay rate fitted to it; and the defects that make that trajectory the
-    full generator's (at most _RESTRICTION_TOL each).  ``checks`` holds one verdict per comparison.
+    the defects that make a trajectory of the restricted generator the
+    full generator's (at most _RESTRICTION_TOL each); the spectral abscissa
+    of the restricted generator, from its eigenvalues alone; and the
+    801-sample trajectory of a random admissible start drawn from ``seed``,
+    from one Pade exponential and no eigenvectors, with the decay rate
+    fitted to it.  ``checks`` holds one verdict per comparison.
 
     Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).
     For a generator of at least _OVERLAP_MIN_DIM rows on more than one CPU,
-    the cover runs on a worker thread while this one runs the other
-    oracles; the results are the same as in the serial order.
+    the abscissa's eigensolve runs on a worker thread, without the
+    interpreter lock, while this thread runs the certificate, the cover, the
+    admissible start and the defects; the trajectory, which needs the
+    abscissa, follows the join.  Results, and the error raised when a step
+    fails, are those of the serial order: an error of this thread wins
+    over the eigensolve's.
     """
     with single_blas_thread() as pinned:
         prep = prepare(sys)
-        cert = full_certificate(prep)
-        cover_args = (prep.B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
         if pinned and prep.B_res.shape[0] >= _OVERLAP_MIN_DIM and usable_cpus() > 1:
-            worker = _Worker(resolvent_cover, *cover_args)
+            worker = _Worker(_unlocked_eigvals, prep.B_res)
             try:
-                abscissa, trace, fitted, residual, defects = _spectral_oracles(prep, seed)
+                cert, cover, U0, residual, defects = _certify_and_start(prep, seed)
             finally:
-                cover = worker.result()  # joins; a cover error is raised here
+                worker.join()
+            abscissa = float(worker.result().real.max())
         else:
-            cover = resolvent_cover(*cover_args)
-            abscissa, trace, fitted, residual, defects = _spectral_oracles(prep, seed)
+            cert, cover, U0, residual, defects = _certify_and_start(prep, seed)
+            abscissa = spectral_abscissa(prep.B_res)
+        # The rounding-level part of U0 in ker(D*) never decays; end the run
+        # while the decaying part, near exp(-30), is still far above it, and
+        # at t = 20 at the latest.
+        t_end = 30.0 / max(-abscissa, 1.5)
+        trace = restricted_simulate(prep.B_res, prep.frames, U0, t_end, 801)
+        fitted = fit_decay_rate(trace)
 
     norms = trace.state_norms
     checks = {
@@ -558,42 +569,36 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
 _RESTRICTION_TOL = 1e-10
 
 
-def _spectral_oracles(prep: PreparedProblem, seed: int):
-    """The spectral abscissa and trajectory of B_res, and the defects that tie it to G.
+def _certify_and_start(prep: PreparedProblem, seed: int):
+    """Every step of the audit that needs neither the abscissa nor the trajectory.
 
-    Returns ``(abscissa, trace, fitted decay rate, projection residual,
+    Returns ``(certificate, cover, admissible start U0, projection residual,
     (restriction residual, frame defect))``.
     """
+    cert = full_certificate(prep)
+    cover = resolvent_cover(prep.B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
     ns = prep.normalized
     u0, v_raw = random_components(seed, ns.n0, ns.n1)
     U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
-    abscissa = spectral_abscissa(prep.B_res)
-
-    # The rounding-level part of U0 in ker(D*) never decays; end the run
-    # while the decaying part, near exp(-30), is still far above it, and
-    # at t = 20 at the latest.
-    t_end = 30.0 / max(-abscissa, 1.5)
-    trace = restricted_simulate(prep.B_res, prep.frames, U0, t_end, 801)
     defects = restriction_defects(ns.gamma_tilde, ns.D, prep.frames, prep.B_res)
-    return abscissa, trace, fit_decay_rate(trace), residual, defects
+    return cert, cover, U0, residual, defects
 
 
-# Smallest restricted generator whose cover audit_system overlaps with the
-# other oracles.  Small kernels take microseconds, and the two threads then
-# mostly hand the interpreter lock back and forth: a pass over the 200-system
-# benchmark corpus (m <= 12) took 0.80 s overlapped against 0.53 s serial.
-# Random systems at m = 16 to 64 showed no clear difference either way.  On
-# the N = 3 grids (m = 133), audit_system took an eighth less time
-# overlapped: medians of 40 interleaved pairs on 2 cores, 24 against 28 ms
-# on unit material (overlap faster in 39 pairs) and 30 against 33 ms with
-# per-cell materials (36 pairs).  There this thread runs eigvals, about
-# 10 ms, and the trajectory's matrix products and one solve, while the
-# cover's Grams and Cholesky factorizations run on the worker.  At m = 133,
-# measured as the progress a pure-Python loop keeps beside a thread that
-# runs the kernel, numpy 2.4 holds the lock in eigvals, eigvalsh and a
-# single-matrix svd(compute_uv=False), which the cover's fallback takes, and
-# in a stacked SVD of 3 x 133 values; it releases the lock in matrix
-# products, solve, Cholesky factorizations and a stacked SVD of 4 x 133.
+# Smallest restricted generator for which audit_system runs the abscissa's
+# eigensolve on a worker thread.  Small kernels take microseconds, and the
+# two threads then mostly hand the interpreter lock back and forth: the
+# benchmark corpus (m <= 12) stays serial.  Medians of 40 interleaved pairs
+# on 2 cores, serial against overlapped, on random systems: 5.4 against
+# 6.8 ms at m = 16 (overlap faster in 0 pairs), 12.0 against 12.9 ms at
+# m = 32 (5 pairs) and 71.6 against 70.8 ms at m = 64 (20 pairs, even); on
+# the per-cell N = 3 grid (m = 133), 34.0 against 25.4 ms (39 pairs).  At
+# m = 133, measured as the progress a pure-Python loop keeps beside a
+# thread that runs the kernel, numpy 2.4 holds the lock in eigvals (hence
+# the padded stack of _unlocked_eigvals), eigvalsh, and
+# svd(compute_uv=False) of one or three matrices; it releases the lock in
+# matrix products, solve, Cholesky factorizations, an SVD with vectors and
+# svd(compute_uv=False) of four.  So the calling thread's cover, whose
+# Grams and Cholesky tests release the lock, runs beside the eigensolve.
 _OVERLAP_MIN_DIM = 64
 
 

@@ -459,6 +459,25 @@ def spectral_abscissa(B) -> float:
     return float(np.linalg.eigvals(B).real.max())
 
 
+def _unlocked_eigvals(B: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(B)`` bit for bit, run without the interpreter lock.
+
+    numpy 2.4 releases the lock in eigvals only when the stack count times m
+    exceeds 500 (at m = 133 one to three matrices hold it, four release it),
+    so an m x m ``B`` with m <= 500 goes in a stack padded with
+    ceil(501 / m) - 1 zero matrices; LAPACK factors each matrix alone, and
+    the zeros' eigenvalues are real, so B's come back with the dtype and
+    bits of the plain call.  Only the speed of a second thread depends on
+    that numpy rule.
+    """
+    m = B.shape[0]
+    if not 0 < m <= 500:
+        return np.linalg.eigvals(B)
+    stack = np.zeros((-(-501 // m), m, m), dtype=B.dtype)
+    stack[0] = B
+    return np.linalg.eigvals(stack)[0]
+
+
 def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
     """Sample ||exp(t B) U0|| at equally spaced times in [0, t_end].
 

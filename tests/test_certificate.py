@@ -571,7 +571,7 @@ class TestPrepare:
 
 
 class TestOverlappedCover:
-    """audit_system's cover on a worker thread: same results, no leaks."""
+    """audit_system's eigensolve on a worker thread: same results and errors, no leaks."""
 
     @pytest.fixture()
     def overlap(self, monkeypatch):
@@ -582,18 +582,26 @@ class TestOverlappedCover:
 
     def test_overlap_matches_the_serial_order(self, overlap):
         s = _hetero_grid()
-        threads = []
+        cover_threads, eigvals_threads = [], []
 
         def cover(*args):
-            threads.append(threading.current_thread())
+            cover_threads.append(threading.current_thread())
             return verify.resolvent_cover(*args)
 
+        def eigvals(B):
+            eigvals_threads.append(threading.current_thread())
+            return verify._unlocked_eigvals(B)
+
         overlap.setattr(certificate, "resolvent_cover", cover)
+        overlap.setattr(certificate, "_unlocked_eigvals", eigvals)
         on = sc.audit_system(s)
         overlap.setattr(certificate, "_OVERLAP_MIN_DIM", 10**9)
         off = sc.audit_system(s)
-        assert threads[1] is threading.current_thread()
-        assert (threads[0] is not threading.current_thread()) == (_openblas_threads() is not None)
+        # The cover runs on this thread in both orders; the lock-free
+        # eigensolve runs on the worker, and only when the overlap is taken.
+        assert cover_threads == [threading.current_thread()] * 2
+        assert len(eigvals_threads) == (_openblas_threads() is not None)
+        assert threading.current_thread() not in eigvals_threads
         assert dataclasses.asdict(on.certificate) == dataclasses.asdict(off.certificate)
         assert dataclasses.asdict(on.cover) == dataclasses.asdict(off.cover)
         assert on.abscissa == off.abscissa and on.fitted_rate == off.fitted_rate
@@ -604,7 +612,7 @@ class TestOverlappedCover:
     @pytest.mark.parametrize("where", ["resolvent_cover", "fit_decay_rate"])
     def test_errors_propagate_and_leave_no_thread(self, overlap, where):
         def slow_cover(*args):
-            time.sleep(0.2)  # still running when the calling thread fails
+            time.sleep(0.2)
             if where == "resolvent_cover":
                 raise CertificateFailure("resolvent_cover failed")
             return verify.resolvent_cover(*args)
@@ -620,6 +628,56 @@ class TestOverlappedCover:
         with pytest.raises(CertificateFailure, match=f"{where} failed"):
             sc.audit_system(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]]))
         assert (threading.active_count(), blas and blas[0]()) == before
+
+    @pytest.mark.parametrize("failing", ["calling thread", "eigensolve", "both"])
+    def test_the_serial_order_decides_which_error_is_raised(self, overlap, failing):
+        # The eigensolve sleeps, so a calling-thread step fails while it is
+        # still running.  In the serial order the restriction defects come
+        # before the abscissa, so their error is the one raised when both
+        # fail, whichever path the CPU count picks.
+        ran = []
+
+        def slow_eigvals(B):
+            time.sleep(0.2)
+            ran.append("eigensolve")
+            if failing != "calling thread":
+                raise np.linalg.LinAlgError("eigensolve failed")
+            return verify._unlocked_eigvals(B)
+
+        def serial_abscissa(B):
+            if failing != "calling thread":
+                raise np.linalg.LinAlgError("eigensolve failed")
+            return verify.spectral_abscissa(B)
+
+        def defects(*args):
+            ran.append("restriction_defects")
+            if failing != "eigensolve":
+                raise CertificateFailure("restriction_defects failed")
+            return verify.restriction_defects(*args)
+
+        def simulate(*args):
+            ran.append("restricted_simulate")
+            return verify.restricted_simulate(*args)
+
+        overlap.setattr(certificate, "_unlocked_eigvals", slow_eigvals)
+        overlap.setattr(certificate, "spectral_abscissa", serial_abscissa)
+        overlap.setattr(certificate, "restriction_defects", defects)
+        overlap.setattr(certificate, "restricted_simulate", simulate)
+        error, match = ((np.linalg.LinAlgError, "eigensolve") if failing == "eigensolve"
+                        else (CertificateFailure, "restriction_defects"))
+        s = sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        blas = _openblas_threads()
+        before = (threading.active_count(), blas and blas[0]())
+        for min_dim in (0, 10**9):  # overlapped where the BLAS pin holds, then serial
+            overlap.setattr(certificate, "_OVERLAP_MIN_DIM", min_dim)
+            ran.clear()
+            with pytest.raises(error, match=f"{match} failed"):
+                sc.audit_system(s)
+            assert (threading.active_count(), blas and blas[0]()) == before
+            assert "restricted_simulate" not in ran
+            if min_dim == 0 and blas is not None:
+                # Joined before the error left audit_system.
+                assert ran == ["restriction_defects", "eigensolve"]
 
 
 _BLOCKS = ("alpha", "beta", "gamma", "C")

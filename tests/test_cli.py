@@ -443,17 +443,16 @@ def test_certify_reports_are_deterministic(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_certify_runs_each_step_once(tmp_path, monkeypatch):
-    # Rank 1 with n0 = n1 = 2: B_res has 3 rows, the full generator 4.
-    problem = _write_problem(
-        tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2), [[1.0, 0.0], [0.0, 0.0]]
-    )
+def _count_steps(monkeypatch, fns):
+    """Count calls of ``fns`` wherever stabcert holds them, and of np.linalg.eig/eigvals.
+
+    Returns the counter and the shapes of the eig/eigvals arguments.
+    """
     calls = Counter()
     shapes = []
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and (n == "stabcert" or n.startswith("stabcert."))]
-    for fn in (sc.normalize_system, sc.decompose, sc.restricted_generator,
-               sc.spectral_abscissa, sc.simulate):
+    for fn in fns:
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -469,6 +468,17 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
             return _fn(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls, shapes
+
+
+def test_certify_runs_each_step_once(tmp_path, monkeypatch):
+    # Rank 1 with n0 = n1 = 2: B_res has 3 rows, the full generator 4.
+    problem = _write_problem(
+        tmp_path / "p.json", np.eye(2), np.eye(2), np.eye(2), [[1.0, 0.0], [0.0, 0.0]]
+    )
+    calls, shapes = _count_steps(monkeypatch, (
+        sc.normalize_system, sc.decompose, sc.restricted_generator, sc.spectral_abscissa, sc.simulate,
+    ))
     assert main(["certify", problem, "-o", str(tmp_path / "r.json")]) == 0
     # decompose runs on D only; the admissible start reuses its frames.  The
     # abscissa is the eigenvalues of B_res alone, and the trajectory takes
@@ -479,6 +489,18 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
         "spectral_abscissa": 1, "eigvals": 1,
     }
     assert shapes == [(3, 3)]
+
+
+def test_overlapped_grid_certify_runs_each_step_once(grid_problem, tmp_path, monkeypatch):
+    # The N = 3 grid (m = 133) with a second CPU forced: the abscissa is one
+    # lock-free eigvals call on the worker, padded to a stack of four.
+    monkeypatch.setattr(sc.certificate, "usable_cpus", lambda: 2)
+    calls, shapes = _count_steps(
+        monkeypatch, (sc.normalize_system, sc.decompose, sc.verify.resolvent_cover)
+    )
+    assert main(["certify", grid_problem, "-o", str(tmp_path / "r.json")]) == 0
+    assert calls == {"normalize_system": 1, "decompose": 1, "resolvent_cover": 1, "eigvals": 1}
+    assert shapes == [(4, 133, 133) if _openblas_threads() is not None else (133, 133)]
 
 
 @pytest.mark.parametrize("corruption", ["scaled iota1", "rotated iota0"])
@@ -898,14 +920,22 @@ def test_overlapped_cover_calls_nothing_the_tracer_wraps(grid_problem, tmp_path,
                 for attr, value in list(vars(m).items()):
                     if value is fn:
                         monkeypatch.setattr(m, attr, spy)
-    cover_threads = []
+    cover_threads, eigvals_threads = [], []
 
     def cover(*args):
         cover_threads.append(threading.current_thread())
         return sc.verify.resolvent_cover(*args)
 
+    def eigvals(B):
+        eigvals_threads.append(threading.current_thread())
+        return sc.verify._unlocked_eigvals(B)
+
     monkeypatch.setattr(sc.certificate, "resolvent_cover", cover)
+    monkeypatch.setattr(sc.certificate, "_unlocked_eigvals", eigvals)
     assert main(["certify", grid_problem, "-o", str(tmp_path / "r.json")]) == 0
     assert threads == {threading.current_thread()}
-    assert len(cover_threads) == 1
-    assert (cover_threads[0] is not threading.current_thread()) == (_openblas_threads() is not None)
+    # The cover runs on this thread; the eigensolve on the worker, where the
+    # BLAS pin holds (without it certify runs serially).
+    assert cover_threads == [threading.current_thread()]
+    assert len(eigvals_threads) == (_openblas_threads() is not None)
+    assert threading.current_thread() not in eigvals_threads

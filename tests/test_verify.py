@@ -459,6 +459,30 @@ class TestSpectralAbscissa:
     def test_diagonal(self):
         assert sc.spectral_abscissa(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("m", [64, 133, 304, 501])
+    @pytest.mark.parametrize("kind", ["real", "real spectrum", "complex"])
+    def test_unlocked_eigvals_are_the_plain_eigvals(self, monkeypatch, m, kind):
+        rng = np.random.default_rng(m)
+        B = rng.standard_normal((m, m))
+        if kind == "real spectrum":
+            B = B + B.T
+        elif kind == "complex":
+            B = B + 1j * rng.standard_normal((m, m))
+        expected = np.linalg.eigvals(B)
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        got = verify._unlocked_eigvals(B)
+        assert got.dtype == expected.dtype == (float if kind == "real spectrum" else complex)
+        assert np.array_equal(got, expected)
+        # One call on a stack of more than 500 rows in all; above 500 rows, B alone.
+        assert shapes == [(-(-501 // m), m, m) if m <= 500 else (m, m)]
+
 
 class TestSimulate:
     def test_contraction_norms_non_increasing(self):
