@@ -515,6 +515,27 @@ class TestSimulate:
         expected = np.linalg.norm(scipy.linalg.expm(5.0 * B) @ np.array([1.0, 1.0]))
         assert trace.state_norms[-1] == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_norms_are_those_of_linalg_norm(self, dtype, monkeypatch):
+        # The squares overwrite the states; the norms must be
+        # np.linalg.norm's of the final states bit for bit.
+        rng = np.random.default_rng(66)
+        B = rng.standard_normal((7, 7)) - 2.0 * np.eye(7)
+        if dtype is complex:
+            B = B + 1j * rng.standard_normal((7, 7))
+        U0 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        snapshots = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, out):
+            matmul(a, b, out=out)
+            snapshots.append(out.base.copy())  # every state filled so far
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        trace = sc.simulate(B, U0, 3.0, 101)
+        expected = np.linalg.norm(snapshots[-1].reshape(101, -1), axis=1)
+        assert np.array_equal(trace.state_norms, expected)
+
 
 class TestExpm:
     @pytest.mark.parametrize("dtype", [float, complex])
