@@ -27,11 +27,9 @@ The decay certificate is assembled from one inequality per link:
 :func:`full_certificate` and :func:`audit_system`, which adds the oracle
 checks, share one :func:`prepare` of the system.
 
-All norms entering the formulas are measured from the matrices, never
-taken from user input.  The certified abscissa refers to the semigroup in
-normalized (unit-weight) variables restricted to H0 x ran(coupling); the
-factor ``kappa_norm**2`` in ``M_total`` covers mapping the bound back to
-the original variables.
+:func:`full_certificate` is ``chain(measure(prep))`` and the audit; of the
+chain's steps only :func:`measure` reads a matrix, so no norm is taken from
+user input.  The claim is stated once, in :class:`StabilityCertificate`.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,6 +70,7 @@ from .verify import (
 __all__ = [
     "InvertibleCaseCertificate",
     "AuditRecord",
+    "ChainInputs",
     "StabilityCertificate",
     "PreparedProblem",
     "SystemAudit",
@@ -82,11 +81,14 @@ __all__ = [
     "kernel_block_bound",
     "prepare",
     "refuse_oversized",
+    "measure",
+    "chain",
     "full_certificate",
     "audit_system",
 ]
 
 # Exact formulas behind every reported constant, for hand re-derivation.
+# Outside ``inner``, c and gamma_norm mean c_gamma_tilde and gamma_tilde_norm.
 FORMULAS = {
     "u_term": "c - delta*(1 + ((gamma_norm + delta)*C_inv_norm)**2 / (2*p))",
     "v_term": "delta*(1 - p/2)",
@@ -96,13 +98,13 @@ FORMULAS = {
     "d": "0.5*min(c_tilde, delta_star*(1 - p_star/2))",
     "M_inner": "(2/d)*((1 + gamma_norm + delta_star)*C_inv_norm + 2)",
     "working_abscissa": "c/4",
-    "c_eff": "3*c/4 if a kernel block is present else c",
-    "gamma_eff": "gamma_norm + (4/3)*gamma_norm**2/c if a kernel block is present else gamma_norm",
-    "kernel_bound": "1/(c - working_abscissa) = 4/(3*c)",
-    "transform_bound": "1 + (4/3)*gamma_norm/c if a kernel block is present else 1",
+    "c_eff": "3*c/4 if 0 < rank < n0 else c",
+    "gamma_eff": "gamma_norm + (4/3)*gamma_norm**2/c if 0 < rank < n0 else gamma_norm",
+    "kernel_bound": "1/(c - working_abscissa) if rank < n0 else 0.0",
+    "transform_bound": "1 + (4/3)*gamma_norm/c if 0 < rank < n0 else 1",
     "kappa_norm": "max(||sqrt_alpha||, ||sqrt_beta||) * max(||sqrt_alpha_inv||, ||sqrt_beta_inv||)",
-    "delta_cert": "min(working_abscissa, d) / 2**halvings",
-    "M_total": "transform_bound**2 * max(M_inner, kernel_bound) * kappa_norm**2",
+    "delta_cert": "(min(working_abscissa, d) if rank > 0 else working_abscissa) / 2**halvings",
+    "M_total": "transform_bound**2 * max(M_inner if rank > 0 else 0.0, kernel_bound) * kappa_norm**2",
 }
 
 
@@ -147,14 +149,30 @@ class AuditRecord:
 
 
 @dataclass(frozen=True)
-class StabilityCertificate:
+class ChainInputs:
+    """The seven measured scalars, under their report names, that :func:`chain` takes."""
+
+    kappa_norm: float
+    c_gamma_tilde: float
+    gamma_tilde_norm: float
+    sigma_min_pos: float
+    rank: int
+    n0: int
+    n1: int
+
+
+@dataclass(frozen=True)
+class StabilityCertificate(ChainInputs):
     """A certified half-plane abscissa with a uniform resolvent bound.
 
-    The claim: the open half-plane Re z > -delta_cert lies in the
-    resolvent set of the normalized generator restricted to
-    H0 x ran(coupling), and on Re z >= -delta_cert/2 the resolvent norm is
-    at most M_total.  ``inner`` is None when the coupling has rank zero
-    (then only the kernel chain contributes).
+    The claim, in normalized (unit-weight) variables restricted to
+    H0 x ran(coupling): Re z > -delta_cert lies in the resolvent set, and on
+    Re z >= -delta_cert/2 the resolvent norm is at most M_total.  The interior
+    estimate (|z| >= 2 delta*) proves M_total / kappa_norm**2 there; the
+    small-frequency audit and the oracle cover hold the normalized resolvent
+    to M_total itself, weaker whenever kappa_norm > 1.  ``inner`` is None
+    when the coupling has rank zero (then only the kernel chain contributes);
+    ``audit`` is None only on :func:`chain`'s certificate, before the audit.
     """
 
     delta_cert: float
@@ -164,15 +182,8 @@ class StabilityCertificate:
     gamma_eff: float
     kernel_bound: float
     transform_bound: float
-    kappa_norm: float
-    c_gamma_tilde: float
-    gamma_tilde_norm: float
-    sigma_min_pos: float
-    rank: int
-    n0: int
-    n1: int
     inner: InvertibleCaseCertificate | None
-    audit: AuditRecord
+    audit: AuditRecord | None
 
 
 @dataclass(frozen=True)
@@ -415,8 +426,64 @@ def prepare(sys: BlockSystem) -> PreparedProblem:
     return PreparedProblem(ns, frames, restricted_generator(ns.gamma_tilde, frames))
 
 
+def measure(prep: PreparedProblem) -> ChainInputs:
+    """The chain's inputs: the one step of the certificate that reads a matrix.
+
+    Raises ZeroRangeOperator and DegenerateProblem as :func:`full_certificate`.
+    """
+    ns, frames = prep.normalized, prep.frames
+    if frames.r == 0 and ns.n1 > 0:
+        raise ZeroRangeOperator(
+            "coupling operator has rank 0 but the second component space has "
+            f"dimension {ns.n1}; only the damped first-component block decays"
+        )
+    if ns.n0 == 0:
+        raise DegenerateProblem("both component spaces are empty; there is nothing to certify")
+    return ChainInputs(
+        kappa_norm=max(operator_norm(ns.sqrt_alpha), operator_norm(ns.sqrt_beta))
+        * max(operator_norm(ns.sqrt_alpha_inv), operator_norm(ns.sqrt_beta_inv)),
+        c_gamma_tilde=ns.c_gamma_tilde,
+        gamma_tilde_norm=operator_norm(ns.gamma_tilde),
+        sigma_min_pos=frames.sigma_min_pos,
+        rank=frames.r,
+        n0=ns.n0,
+        n1=ns.n1,
+    )
+
+
+def chain(inputs: ChainInputs) -> StabilityCertificate:
+    """Every constant of the certificate, a pure function of seven scalars.
+
+    ``delta_cert`` is the abscissa before the audit halves it, if it must.
+    """
+    c, g, r, n0 = inputs.c_gamma_tilde, inputs.gamma_tilde_norm, inputs.rank, inputs.n0
+    a0 = c / 4.0
+    kern = kernel_block_bound(c, -a0) if r < n0 else 0.0  # 0.0: no kernel block
+    if 0 < r < n0:
+        c_eff = 0.75 * c
+        gamma_eff = g + (4.0 / 3.0) * g * g / c
+        transform_bound = 1.0 + (4.0 / 3.0) * g / c
+    else:
+        c_eff, gamma_eff, transform_bound = c, g, 1.0
+
+    # r == 0 (so n1 == 0) leaves no invertible block: the kernel bound covers Re z > -c.
+    inner = invertible_certificate(c_eff, gamma_eff, 1.0 / inputs.sigma_min_pos) if r else None
+    return StabilityCertificate(
+        **vars(inputs),
+        delta_cert=min(a0, inner.d) if inner else a0,
+        M_total=transform_bound**2 * max(inner.M_inner if inner else 0.0, kern) * inputs.kappa_norm**2,
+        working_abscissa=a0,
+        c_eff=c_eff,
+        gamma_eff=gamma_eff,
+        kernel_bound=kern,
+        transform_bound=transform_bound,
+        inner=inner,
+        audit=None,
+    )
+
+
 def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate:
-    """Run the whole chain: normalize, decompose, optimize, audit.
+    """Run the whole chain: prepare, :func:`measure`, :func:`chain`, audit.
 
     ``sys`` is a block system, or a :class:`PreparedProblem` whose
     normalization, frames and restricted generator are reused.
@@ -436,64 +503,11 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
         within M_total, even after halving the claimed abscissa twenty times.
     """
     prep = sys if isinstance(sys, PreparedProblem) else prepare(sys)
-    ns, frames = prep.normalized, prep.frames
-    r, n0, n1 = frames.r, ns.n0, ns.n1
-    if r == 0 and n1 > 0:
-        raise ZeroRangeOperator(
-            "coupling operator has rank 0 but the second component space has "
-            f"dimension {n1}; only the damped first-component block decays"
-        )
-    if n0 == 0:
-        raise DegenerateProblem("both component spaces are empty; there is nothing to certify")
-
-    c = ns.c_gamma_tilde
-    g = operator_norm(ns.gamma_tilde)
-    kappa_norm = max(
-        operator_norm(ns.sqrt_alpha), operator_norm(ns.sqrt_beta)
-    ) * max(operator_norm(ns.sqrt_alpha_inv), operator_norm(ns.sqrt_beta_inv))
-
-    a0 = c / 4.0
-    kern = kernel_block_bound(c, -a0) if r < n0 else 0.0  # 0.0: no kernel block
-    if 0 < r < n0:
-        c_eff = 0.75 * c
-        gamma_eff = g + (4.0 / 3.0) * g * g / c
-        transform_bound = 1.0 + (4.0 / 3.0) * g / c
-    else:
-        c_eff, gamma_eff, transform_bound = c, g, 1.0
-
-    if r >= 1:
-        inner = invertible_certificate(c_eff, gamma_eff, frames.C_tilde_inv_norm)
-        M_total = transform_bound**2 * max(inner.M_inner, kern) * kappa_norm**2
-        delta0 = min(a0, inner.d)
-        im_half = 2.0 * inner.delta_star
-    else:
-        # r == 0 and n1 == 0: pure damped first-component dynamics.  The
-        # kernel-block bound covers every frequency with Re z > -c, so the
-        # audit has no gap to close.
-        inner = None
-        M_total = kern * kappa_norm**2
-        delta0 = a0
-        im_half = 2.0 * delta0
-
-    delta, audit = _small_frequency_audit(prep.B_res, delta0, im_half, M_total)
-    return StabilityCertificate(
-        delta_cert=delta,
-        M_total=M_total,
-        working_abscissa=a0,
-        c_eff=c_eff,
-        gamma_eff=gamma_eff,
-        kernel_bound=kern,
-        transform_bound=transform_bound,
-        kappa_norm=kappa_norm,
-        c_gamma_tilde=c,
-        gamma_tilde_norm=g,
-        sigma_min_pos=frames.sigma_min_pos,
-        rank=r,
-        n0=n0,
-        n1=n1,
-        inner=inner,
-        audit=audit,
-    )
+    cert = chain(measure(prep))
+    # The segment the interior estimate (or the kernel bound) leaves open.
+    im_half = 2.0 * (cert.inner.delta_star if cert.inner else cert.delta_cert)
+    delta, audit = _small_frequency_audit(prep.B_res, cert.delta_cert, im_half, cert.M_total)
+    return replace(cert, delta_cert=delta, audit=audit)
 
 
 def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:

@@ -66,8 +66,6 @@ class HelmholtzFrames:
     sigma_min_pos : smallest nonzero singular value (0.0 when r == 0);
         the quantitative closed-range constant.
     C_tilde : the invertible r x r restriction iota1* C iota0.
-    C_tilde_inv_norm : norm of its inverse, 1 / sigma_min_pos
-        (+inf when r == 0).
     """
 
     iota0: ComplexMatrix
@@ -77,7 +75,6 @@ class HelmholtzFrames:
     r: int
     sigma_min_pos: float
     C_tilde: ComplexMatrix
-    C_tilde_inv_norm: float
 
     @property
     def n0(self) -> int:
@@ -137,7 +134,6 @@ def decompose(C) -> HelmholtzFrames:
     kappa0 = V[:, r:]
     C_tilde = iota1.conj().T @ C @ iota0
     sigma_min_pos = float(s[r - 1]) if r else 0.0
-    inv_norm = 1.0 / sigma_min_pos if r else float("inf")
 
     return HelmholtzFrames(
         iota0=iota0,
@@ -147,7 +143,6 @@ def decompose(C) -> HelmholtzFrames:
         r=r,
         sigma_min_pos=sigma_min_pos,
         C_tilde=C_tilde,
-        C_tilde_inv_norm=inv_norm,
     )
 
 

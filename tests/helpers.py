@@ -1,4 +1,6 @@
-"""Shared random-instance generators for the test corpora."""
+"""Shared random-instance generators and report checks for the test corpora."""
+
+import math
 
 import numpy as np
 
@@ -81,3 +83,33 @@ def random_real_block_system(rng, n0, n1, r, c_gamma=0.3):
     gamma = Q @ np.diag(rng.uniform(c_gamma, c_gamma + 2.0, n0)) @ Q.T + 0.25 * (S - S.T)
     C = orthogonal(n1)[:, :r] @ np.diag(rng.uniform(0.5, 2.0, r)) @ orthogonal(n0)[:, :r].T
     return sc.validate_system(spd(n0), spd(n1), gamma, C)
+
+
+# The formulas that are Python expressions of the certificate's own fields
+# and give one of them.  u_term and v_term, at (delta_star, p_star), give
+# c_tilde and, as 0.5*min(u_term, v_term), d.
+_TOP_FORMULAS = (
+    "working_abscissa", "c_eff", "gamma_eff", "kernel_bound", "transform_bound", "M_total", "delta_cert",
+)
+
+
+def formula_mismatches(cert: dict, formulas: dict, rel: float = 1e-12) -> dict:
+    """Constants of a report's ``certificate`` that its ``formulas`` do not reproduce.
+
+    Each formula is evaluated on the certificate's fields (those of ``inner``
+    for the inner ones; outside ``inner``, c and gamma_norm are c_gamma_tilde
+    and gamma_tilde_norm).  Returns ``{name: (from formula, reported)}`` for
+    every constant that differs by more than ``rel`` relative.
+    """
+    top = dict(cert, c=cert["c_gamma_tilde"], gamma_norm=cert["gamma_tilde_norm"],
+               halvings=cert["audit"]["halvings"])
+    inner = cert["inner"]
+    pairs = []
+    if inner is not None:
+        top.update(d=inner["d"], M_inner=inner["M_inner"])
+        at = dict(inner, delta=inner["delta_star"], p=inner["p_star"])
+        u, v = eval(formulas["u_term"], dict(at)), eval(formulas["v_term"], dict(at))
+        pairs += [("c_tilde", u, inner["c_tilde"]), ("v_term", 0.5 * min(u, v), inner["d"])]
+        pairs += [(k, eval(formulas[k], dict(inner)), inner[k]) for k in ("d", "M_inner")]
+    pairs += [(k, eval(formulas[k], dict(top)), cert[k]) for k in _TOP_FORMULAS]
+    return {k: (got, want) for k, got, want in pairs if not math.isclose(got, want, rel_tol=rel)}

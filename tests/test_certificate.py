@@ -22,7 +22,13 @@ from stabcert._blas import _openblas_threads
 from stabcert.certificate import _small_frequency_audit, prepare
 from stabcert.verify import _resolvent_norms, _sigma_min_test, admissible_start, random_components
 
-from helpers import haar_unitary, random_block_system, random_coercive, random_real_block_system
+from helpers import (
+    formula_mismatches,
+    haar_unitary,
+    random_block_system,
+    random_coercive,
+    random_real_block_system,
+)
 
 
 class TestDampingLowerBound:
@@ -433,6 +439,49 @@ class TestFullCertificate:
         assert cert.M_total == pytest.approx(cert.kernel_bound)
         abscissa = sc.spectral_abscissa(-gamma)
         assert abscissa <= -cert.delta_cert
+
+
+class _NoLinalg:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} called")
+
+
+def _rank_case(rng, case, n0, extra):
+    """A random system whose coupling has no range, a partial one, or full rank n0."""
+    if case == "none":
+        return random_block_system(rng, n0, 0, 0)
+    r = int(rng.integers(1, n0)) if case == "partial" else n0
+    return random_block_system(rng, n0, r + extra, r)
+
+
+class TestChain:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from(["none", "partial", "full"]),
+        n0=st.integers(2, 5),
+        extra=st.integers(0, 2),
+    )
+    def test_formulas_reproduce_every_constant(self, seed, case, n0, extra):
+        prep = prepare(_rank_case(np.random.default_rng(seed), case, n0, extra))
+        cert = sc.full_certificate(prep)
+        assert formula_mismatches(dataclasses.asdict(cert), certificate.FORMULAS) == {}
+        pre = certificate.chain(certificate.measure(prep))
+        assert dataclasses.replace(pre, delta_cert=cert.delta_cert, audit=cert.audit) == cert
+
+    @pytest.mark.parametrize("case", ["none", "partial", "full"])
+    def test_chain_reads_no_matrix(self, monkeypatch, case):
+        cert = sc.full_certificate(_rank_case(np.random.default_rng(5), case, 4, 1))
+        assert cert.audit.halvings == 0  # so delta_cert is the chain's own
+        inputs = certificate.ChainInputs(
+            **{f.name: getattr(cert, f.name) for f in dataclasses.fields(certificate.ChainInputs)}
+        )
+        assert {type(x) for x in vars(inputs).values()} <= {int, float}
+        with monkeypatch.context() as m:
+            m.setattr(np, "linalg", _NoLinalg())
+            pre = certificate.chain(inputs)
+        assert pre.audit is None
+        assert dataclasses.replace(pre, audit=cert.audit) == cert
 
 
 # Restricted generator with spectral abscissa -3.

@@ -478,6 +478,7 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
     )
     calls, shapes = _count_steps(monkeypatch, (
         sc.normalize_system, sc.decompose, sc.restricted_generator, sc.spectral_abscissa, sc.simulate,
+        sc.certificate.measure, sc.certificate.chain,
     ))
     assert main(["certify", problem, "-o", str(tmp_path / "r.json")]) == 0
     # decompose runs on D only; the admissible start reuses its frames.  The
@@ -486,7 +487,7 @@ def test_certify_runs_each_step_once(tmp_path, monkeypatch):
     # never decomposed.
     assert calls == {
         "normalize_system": 1, "decompose": 1, "restricted_generator": 1,
-        "spectral_abscissa": 1, "eigvals": 1,
+        "spectral_abscissa": 1, "eigvals": 1, "measure": 1, "chain": 1,
     }
     assert shapes == [(3, 3)]
 
@@ -495,11 +496,15 @@ def test_overlapped_grid_certify_runs_each_step_once(grid_problem, tmp_path, mon
     # The N = 3 grid (m = 133) with a second CPU forced: the abscissa is one
     # lock-free eigvals call on the worker, padded to a stack of four.
     monkeypatch.setattr(sc.certificate, "usable_cpus", lambda: 2)
-    calls, shapes = _count_steps(
-        monkeypatch, (sc.normalize_system, sc.decompose, sc.verify.resolvent_cover)
-    )
+    calls, shapes = _count_steps(monkeypatch, (
+        sc.normalize_system, sc.decompose, sc.verify.resolvent_cover,
+        sc.certificate.measure, sc.certificate.chain,
+    ))
     assert main(["certify", grid_problem, "-o", str(tmp_path / "r.json")]) == 0
-    assert calls == {"normalize_system": 1, "decompose": 1, "resolvent_cover": 1, "eigvals": 1}
+    assert calls == {
+        "normalize_system": 1, "decompose": 1, "resolvent_cover": 1, "eigvals": 1,
+        "measure": 1, "chain": 1,
+    }
     assert shapes == [(4, 133, 133) if _openblas_threads() is not None else (133, 133)]
 
 

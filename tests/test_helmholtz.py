@@ -18,7 +18,6 @@ class TestDecompose:
         fr = sc.decompose([[0.0, 2.0], [0.0, 0.0]])
         assert fr.r == 1
         assert fr.sigma_min_pos == pytest.approx(2.0, abs=1e-14)
-        assert fr.C_tilde_inv_norm == pytest.approx(0.5, abs=1e-14)
         # Compare subspaces through their projectors; signs of the frame
         # columns are not pinned by the factorization.
         e1 = np.zeros((2, 1)); e1[0] = 1
@@ -33,7 +32,6 @@ class TestDecompose:
             assert fr.r == 0
             assert fr.C_tilde.shape == (0, 0)
             assert fr.sigma_min_pos == 0.0
-            assert fr.C_tilde_inv_norm == np.inf
             assert fr.iota0.shape == (n0, 0) and fr.iota1.shape == (n1, 0)
             assert np.allclose(fr.kappa0.conj().T @ fr.kappa0, np.eye(n0), atol=1e-14)
             assert np.allclose(fr.kappa1.conj().T @ fr.kappa1, np.eye(n1), atol=1e-14)
