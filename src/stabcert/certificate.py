@@ -513,42 +513,44 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
 def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     """Certify a system and check the certificate against every oracle.
 
-    The oracles follow one fixed recipe: a cover proving the resolvent norm
-    of the restricted generator at most M_total (relative slack 1e-6) on
-    Re z >= -delta_cert/2, which holds both lines the sweep verdicts name;
-    the defects that make a trajectory of the restricted generator the
-    full generator's (at most _RESTRICTION_TOL each); the spectral abscissa
-    of the restricted generator, from its eigenvalues alone; and the
-    801-sample trajectory of a random admissible start drawn from ``seed``,
-    from one Pade exponential and no eigenvectors, with the decay rate
+    One recipe, in this order: :func:`prepare`; the certificate; a cover
+    proving the resolvent norm of the restricted generator at most M_total
+    (relative slack 1e-6) on Re z >= -delta_cert/2, which holds both lines
+    the sweep verdicts name; a random admissible start drawn from ``seed``;
+    the defects that make a trajectory of the restricted generator the full
+    generator's (at most _RESTRICTION_TOL each); the spectral abscissa of the
+    restricted generator, from its eigenvalues alone; and the 801-sample
+    trajectory of the start, from one Pade exponential, with the decay rate
     fitted to it.  ``checks`` holds one verdict per comparison.
 
     Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).
-    For a generator of at least _OVERLAP_MIN_DIM rows on more than one CPU,
-    the abscissa's eigensolve runs on a worker thread, without the
-    interpreter lock, while this thread runs the certificate, the cover, the
-    admissible start and the defects; the trajectory, which needs the
-    abscissa, follows the join.  Results, and the error raised when a step
-    fails, are those of the serial order: an error of this thread wins
-    over the eigensolve's.
+    The serial and the overlapped run differ in one line, the one that
+    reads the abscissa: for a generator of at least _OVERLAP_MIN_DIM rows on
+    more than one CPU, from an eigensolve started on a worker thread (without
+    the interpreter lock) and joined after the defects; otherwise from
+    :func:`spectral_abscissa`.  Results, and the error raised when a step
+    fails, are those of the serial order: an error of this thread wins.
     """
     with single_blas_thread() as pinned:
         prep = prepare(sys)
-        if pinned and prep.B_res.shape[0] >= _OVERLAP_MIN_DIM and usable_cpus() > 1:
-            worker = _Worker(_unlocked_eigvals, prep.B_res)
-            try:
-                cert, cover, U0, residual, defects = _certify_and_start(prep, seed)
-            finally:
+        ns, frames, B_res = prep.normalized, prep.frames, prep.B_res
+        overlap = pinned and B_res.shape[0] >= _OVERLAP_MIN_DIM and usable_cpus() > 1
+        worker = _Worker(_unlocked_eigvals, B_res) if overlap else None
+        try:
+            cert = full_certificate(prep)
+            cover = resolvent_cover(B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
+            u0, v_raw = random_components(seed, ns.n0, ns.n1)
+            U0, residual = admissible_start(ns, frames, u0, v_raw)
+            defects = restriction_defects(ns.gamma_tilde, ns.D, frames, B_res)
+        finally:
+            if worker:
                 worker.join()
-            abscissa = float(worker.result().real.max())
-        else:
-            cert, cover, U0, residual, defects = _certify_and_start(prep, seed)
-            abscissa = spectral_abscissa(prep.B_res)
+        abscissa = float(worker.result().real.max()) if worker else spectral_abscissa(B_res)
         # The rounding-level part of U0 in ker(D*) never decays; end the run
         # while the decaying part, near exp(-30), is still far above it, and
         # at t = 20 at the latest.
         t_end = 30.0 / max(-abscissa, 1.5)
-        trace = restricted_simulate(prep.B_res, prep.frames, U0, t_end, 801)
+        trace = restricted_simulate(B_res, frames, U0, t_end, 801)
         fitted = fit_decay_rate(trace)
 
     norms = trace.state_norms
@@ -581,21 +583,6 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
 # counts as the full generator's.  Measured: at most 1.6e-15 and 1.7e-14 on
 # the benchmark grids and the certified corpus.
 _RESTRICTION_TOL = 1e-10
-
-
-def _certify_and_start(prep: PreparedProblem, seed: int):
-    """Every step of the audit that needs neither the abscissa nor the trajectory.
-
-    Returns ``(certificate, cover, admissible start U0, projection residual,
-    (restriction residual, frame defect))``.
-    """
-    cert = full_certificate(prep)
-    cover = resolvent_cover(prep.B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
-    ns = prep.normalized
-    u0, v_raw = random_components(seed, ns.n0, ns.n1)
-    U0, residual = admissible_start(ns, prep.frames, u0, v_raw)
-    defects = restriction_defects(ns.gamma_tilde, ns.D, prep.frames, prep.B_res)
-    return cert, cover, U0, residual, defects
 
 
 # Smallest restricted generator for which audit_system runs the abscissa's

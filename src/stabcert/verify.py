@@ -394,7 +394,9 @@ def resolvent_cover(B, a: float, bound: float) -> CoverReport:
     _COVER_EVALS evaluations (counted per centre, although a real B pays
     one test per conjugate pair); when h + 1/bound < -a the rectangle is
     empty and needs none.  A cover that does not finish returns ``passed``
-    false instead of raising.
+    false instead of raising; so does, after no evaluation, one whose first
+    row would hold more than _COVER_EVALS squares, and that row is never
+    built (it would hold about 4 ||B|| centres).
     """
     if not (math.isfinite(a) and 0 < bound < math.inf):
         raise ParameterOutOfRange(f"need a finite a and a finite positive bound, got {a!r}, {bound!r}")
@@ -403,15 +405,18 @@ def resolvent_cover(B, a: float, bound: float) -> CoverReport:
     R = operator_norm(B) + 1.0 / bound
     x0, x1 = -a, h + 1.0 / bound
     side = max(x1 - x0, min(2.0 * R, 0.5))
-    n = math.ceil(2.0 * R / side)
-    centres = x0 + 0.5 * side + 1j * side * (np.arange(n) - 0.5 * (n - 1))
 
     def meets(kids, side):
         return (kids.real - 0.5 * side <= x1) & (np.abs(kids.imag) - 0.5 * side <= R)
 
-    passed, evals, enclosure = _neumann_squares(
-        B, centres[meets(centres, side)], side, bound, meets, _COVER_EVALS
-    )
+    # The first row meets the rectangle in every centre or in none, as their
+    # common real part decides, so an empty or over-cap row is never built.
+    empty = not meets(np.array([x0 + 0.5 * side]), side)[0]
+    passed, evals, enclosure = empty, 0, 0.0
+    if not empty and 2.0 * R / side <= _COVER_EVALS:
+        n = math.ceil(2.0 * R / side)
+        centres = x0 + 0.5 * side + 1j * side * (np.arange(n) - 0.5 * (n - 1))
+        passed, evals, enclosure = _neumann_squares(B, centres, side, bound, meets, _COVER_EVALS)
     return CoverReport(
         a=float(a), bound=float(bound), h=h, re_range=(x0, x1), im_range=(-R, R),
         evaluations=evals, max_enclosure=enclosure, passed=passed,
@@ -598,13 +603,17 @@ def _propagate(B, U0, times) -> np.ndarray:
     m, n = B.shape[0], times.size
     if not m:
         return np.zeros(n)
+    dt = float(times[1] - times[0])
+    # Checked before dt B is formed: its 1-norm would overflow in numpy, with a warning.
+    if not dt * float(np.abs(B).sum(axis=0).max()) < math.inf:
+        raise ParameterOutOfRange(f"||dt B||_1 overflows at the step dt = {dt!r}; lower t_end or add samples")
     if np.isrealobj(B):
         states = np.empty((2 * n, m))
         states[0], states[1], width = U0.real, U0.imag, 2
     else:
         states = np.empty((n, m), dtype=complex)
         states[0], width = U0, 1
-    power = _expm((times[1] - times[0]) * B).T  # transposed, as rows multiply it
+    power = _expm(dt * B).T  # transposed, as rows multiply it
     k = 1
     while k < n:
         if k > 1:

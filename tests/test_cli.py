@@ -300,6 +300,19 @@ def test_simulate_too_short_to_fit_writes_a_null_rate(scalar_problem, tmp_path):
     assert "method" not in data
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_refuses_a_step_that_overflows(scalar_problem, tmp_path, capsys):
+    # dt = 1e308 times ||B||_1 = 2 overflows: refused before dt B is formed,
+    # where the Pade scaling met an infinite norm and no JSON line was written.
+    out = tmp_path / "s.json"
+    argv = ["simulate", scalar_problem, "--t-end", "1e308", "--samples", "2", "-o", str(out)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParameterOutOfRange"
+    assert not out.exists()
+
+
 def test_certify_prints_the_report_it_writes(scalar_problem, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["certify", scalar_problem, "-o", str(out)]) == 0

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,21 @@ class TestResolventCover:
         assert first.evaluations == second.evaluations
         assert first.im_range[1] == pytest.approx(second.im_range[1], rel=1e-12, abs=0)
         assert first.max_enclosure == pytest.approx(second.max_enclosure, rel=1e-12, abs=0)
+
+    def test_an_over_cap_row_is_refused_before_it_is_built(self):
+        # alpha = beta = gamma = 1, C = 1e6: ||B_res|| = 1e6, so the first row
+        # would hold about 4e6 squares, far above the cap.  Building it took
+        # a 126 MiB peak, only to test none of them.
+        s = sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1e6]])
+        sc.audit_system(s)  # first-call allocations are not the cover's
+        tracemalloc.start()
+        try:
+            audit = sc.audit_system(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not audit.cover.passed and audit.cover.evaluations == 0
+        assert peak < 2**20
 
     def test_empty_rectangle_needs_no_evaluation(self):
         # Pure damping -I: Re z >= -0.1 lies right of h + 1/bound = -0.5.
