@@ -440,8 +440,7 @@ def measure(prep: PreparedProblem) -> ChainInputs:
     if ns.n0 == 0:
         raise DegenerateProblem("both component spaces are empty; there is nothing to certify")
     return ChainInputs(
-        kappa_norm=max(operator_norm(ns.sqrt_alpha), operator_norm(ns.sqrt_beta))
-        * max(operator_norm(ns.sqrt_alpha_inv), operator_norm(ns.sqrt_beta_inv)),
+        kappa_norm=ns.kappa_norm,
         c_gamma_tilde=ns.c_gamma_tilde,
         gamma_tilde_norm=operator_norm(ns.gamma_tilde),
         sigma_min_pos=frames.sigma_min_pos,

@@ -12,7 +12,8 @@ ways.  Square roots are taken by full Hermitian eigendecomposition, which
 is exact and simple at the dense sizes targeted here, and entry by entry
 for a diagonal weight such as a grid's; near-singular
 weights are refused rather than regularized, because the theory assumes
-strict coercivity.
+strict coercivity.  The same eigenvalues give ``kappa_norm``, which carries
+unit-weight resolvent bounds back to the original variables.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class NormalizedSystem:
 
     ``gamma_tilde`` and ``D`` are the transported damping and coupling
     blocks; the four square-root factors allow mapping states between the
-    original and normalized variables in either direction.
+    original and normalized variables in either direction.  ``kappa_norm`` is
+    max(||sqrt_alpha||, ||sqrt_beta||) max(||sqrt_alpha_inv||, ||sqrt_beta_inv||).
     """
 
     gamma_tilde: ComplexMatrix
@@ -50,6 +52,7 @@ class NormalizedSystem:
     sqrt_beta: ComplexMatrix
     sqrt_beta_inv: ComplexMatrix
     c_gamma_tilde: float
+    kappa_norm: float
 
     @property
     def n0(self) -> int:
@@ -77,11 +80,11 @@ def sqrt_factor(M) -> tuple[ComplexMatrix, ComplexMatrix]:
     """
     M = as_square_matrix(M, "M")
     _check_hermitian(M, "sqrt_factor argument")
-    return _sqrt_factor(M)
+    return _sqrt_factor(M)[:2]
 
 
-def _sqrt_factor(M: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """:func:`sqrt_factor` of a square matrix already checked Hermitian.
+def _sqrt_factor(M: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix, np.ndarray]:
+    """:func:`sqrt_factor` of a square matrix already checked Hermitian, and its roots.
 
     A diagonal M, such as a grid's weights, is its own eigendecomposition:
     its roots are taken entry by entry.
@@ -97,8 +100,8 @@ def _sqrt_factor(M: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
         )
     s = np.sqrt(w)
     if diagonal:
-        return np.diag(s).astype(M.dtype), np.diag(1.0 / s).astype(M.dtype)
-    return (V * s) @ V.conj().T, (V / s) @ V.conj().T
+        return np.diag(s).astype(M.dtype), np.diag(1.0 / s).astype(M.dtype), s
+    return (V * s) @ V.conj().T, (V / s) @ V.conj().T, s
 
 
 def normalize_system(sys: BlockSystem) -> NormalizedSystem:
@@ -107,8 +110,8 @@ def normalize_system(sys: BlockSystem) -> NormalizedSystem:
     :func:`~stabcert.model.validate_system` has checked that the weights are
     Hermitian, so they are factored without checking again.
     """
-    sa, sai = _sqrt_factor(sys.alpha)
-    sb, sbi = _sqrt_factor(sys.beta)
+    (sa, sai, roots_alpha), (sb, sbi, roots_beta) = _sqrt_factor(sys.alpha), _sqrt_factor(sys.beta)
+    roots = np.concatenate([roots_alpha, roots_beta])
     gamma_tilde = sai @ sys.gamma @ sai
     D = sbi @ sys.C @ sai
     return NormalizedSystem(
@@ -119,6 +122,8 @@ def normalize_system(sys: BlockSystem) -> NormalizedSystem:
         sqrt_beta=sb,
         sqrt_beta_inv=sbi,
         c_gamma_tilde=hermitian_min_eig(gamma_tilde),
+        # max(1 / roots) is 1 / min(roots) bit for bit: rounded division is monotone.
+        kappa_norm=float(roots.max() * (1.0 / roots.min())) if roots.size else 0.0,
     )
 
 

@@ -148,6 +148,17 @@ def _max_hermitian_eig(B) -> float:
 _RESOLVENT_STACK_BYTES = 12 * 2**20
 
 
+def _conjugate_pairs(B, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The shifts for the points ``zs``, and the index back to each point.
+
+    For a real B, conj(z) I - B is the conjugate of z I - B, with the same singular values
+    and Cholesky outcome (bit for bit with numpy 2.4's OpenBLAS): a conjugate pair is one shift.
+    """
+    if np.isrealobj(B):
+        return np.unique(np.where(zs.imag < 0, zs.conj(), zs), return_inverse=True)
+    return zs, slice(None)
+
+
 def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
     """Norms of (z - B)^-1 at every z in ``zs``, as 1/sigma_min(z I - B).
 
@@ -161,12 +172,7 @@ def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
     zs = np.asarray(zs, dtype=complex).ravel()
     if m == 0:
         return np.zeros(zs.shape), np.zeros(zs.shape, dtype=bool)
-    if np.isrealobj(B):
-        # conj(z) I - B is the conjugate of z I - B, with the same singular
-        # values (bit for bit with numpy 2.4's OpenBLAS): one SVD per conjugate pair.
-        shifts, back = np.unique(np.where(zs.imag < 0, zs.conj(), zs), return_inverse=True)
-    else:
-        shifts, back = zs, slice(None)
+    shifts, back = _conjugate_pairs(B, zs)
     norms = np.zeros(shifts.shape)
     singular = np.zeros(shifts.shape, dtype=bool)
     eye = np.eye(m)
@@ -251,10 +257,7 @@ def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
     """
     m = B.shape[0]
     zs = np.asarray(zs, dtype=complex).ravel()
-    if np.isrealobj(B):
-        shifts, back = np.unique(np.where(zs.imag < 0, zs.conj(), zs), return_inverse=True)
-    else:
-        shifts, back = zs, slice(None)
+    shifts, back = _conjugate_pairs(B, zs)
     off_diagonal_sq = B.real**2 + B.imag**2
     np.fill_diagonal(off_diagonal_sq, 0.0)
     diagonal = shifts[:, None] - np.diag(B)  # the diagonal of each A, as formed below
@@ -543,12 +546,6 @@ _PADE = {
     9: ((17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
          2162160.0, 110880.0, 3960.0, 90.0, 1.0), 2.097847961257068e0),
 }
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
 
 
 def _expm(A) -> np.ndarray:
@@ -556,8 +553,7 @@ def _expm(A) -> np.ndarray:
 
     The smallest degree m in (3, 5, 7, 9) with ||A||_1 <= theta_m gives
     r = q(A)^-1 p(A) from (m + 1)/2 products and one solve.  Above theta_9,
-    A is scaled by 2**-s so that ||A||_1 <= _THETA13, the [13/13]
-    approximant is formed with six products and one solve, and squared s
+    A is scaled by 2**-s so that ||A||_1 <= theta_9, and r is squared s
     times.  Unlike an eigendecomposition, it is accurate however
     ill-conditioned the eigenvectors of A are.
     """
@@ -565,26 +561,18 @@ def _expm(A) -> np.ndarray:
     if not A.size:
         return np.array(A)
     norm = float(np.abs(A).sum(axis=0).max())
+    # frexp's s has norm / theta_9 < 2**s, rounding included; scaling by 2**-s is exact.
+    s = math.frexp(norm / _PADE[9][1])[1] if norm > _PADE[9][1] else 0
+    A, norm = A * 0.5**s, norm * 0.5**s
     eye = np.eye(A.shape[0], dtype=A.dtype)
-    for b, theta in _PADE.values():
-        if norm <= theta:
-            A2 = A @ A
-            power, U, V = A2, b[1] * eye + b[3] * A2, b[0] * eye + b[2] * A2
-            for j in range(4, len(b), 2):
-                power = power @ A2
-                U += b[j + 1] * power
-                V += b[j] * power
-            U = A @ U
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    A = A * 0.5**s
-    b = _PADE13
+    b = next((b for b, theta in _PADE.values() if norm <= theta), _PADE[9][0])
     A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    power, U, V = A2, b[1] * eye + b[3] * A2, b[0] * eye + b[2] * A2
+    for j in range(4, len(b), 2):
+        power = power @ A2
+        U += b[j + 1] * power
+        V += b[j] * power
+    U = A @ U
     R = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         R = R @ R
@@ -604,8 +592,9 @@ def _propagate(B, U0, times) -> np.ndarray:
     if not m:
         return np.zeros(n)
     dt = float(times[1] - times[0])
+    step_norm = dt * float(np.abs(B).sum(axis=0).max())
     # Checked before dt B is formed: its 1-norm would overflow in numpy, with a warning.
-    if not dt * float(np.abs(B).sum(axis=0).max()) < math.inf:
+    if not step_norm < math.inf:
         raise ParameterOutOfRange(f"||dt B||_1 overflows at the step dt = {dt!r}; lower t_end or add samples")
     if np.isrealobj(B):
         states = np.empty((2 * n, m))
@@ -613,21 +602,25 @@ def _propagate(B, U0, times) -> np.ndarray:
     else:
         states = np.empty((n, m), dtype=complex)
         states[0], width = U0, 1
-    power = _expm(dt * B).T  # transposed, as rows multiply it
-    k = 1
-    while k < n:
-        if k > 1:
-            power = power @ power
-        j = min(k, n - k)
-        np.matmul(states[: width * j], power, out=states[width * k : width * (k + j)])
-        k *= 2
-    # np.linalg.norm(rows, axis=1), bit for bit, with the squares written
-    # over the states: norm's states-sized temporaries lift the heap past
-    # glibc's trim threshold, so every call would hand it back to the
-    # kernel and fault it in again (about 800 page faults per N = 3 audit).
-    rows = states.reshape(n, width * m)
-    np.multiply(rows.conj(), rows, out=rows)
-    return np.sqrt(np.add.reduce(rows.real, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused once, below
+        power = _expm(dt * B).T  # transposed, as rows multiply it
+        k = 1
+        while k < n:
+            if k > 1:
+                power = power @ power
+            j = min(k, n - k)
+            np.matmul(states[: width * j], power, out=states[width * k : width * (k + j)])
+            k *= 2
+        # np.linalg.norm(rows, axis=1), bit for bit, with the squares written
+        # over the states: norm's states-sized temporaries lift the heap past
+        # glibc's trim threshold, so every call would hand it back to the
+        # kernel and fault it in again (about 800 page faults per N = 3 audit).
+        rows = states.reshape(n, width * m)
+        np.multiply(rows.conj(), rows, out=rows)
+        norms = np.sqrt(np.add.reduce(rows.real, axis=1))
+    if not np.isfinite(norms).all():
+        raise ParameterOutOfRange(f"the trajectory overflows at ||dt B||_1 = {step_norm:.6g}")
+    return norms
 
 
 def restriction_defects(gamma, D, frames: HelmholtzFrames, B_res) -> tuple[float, float]:
@@ -670,6 +663,8 @@ def fit_decay_rate(trace: TrajectoryTrace) -> float:
         peaks = interior[(nw[interior] >= nw[interior - 1]) & (nw[interior] >= nw[interior + 1])]
         if peaks.size >= 2:
             tw, nw = tw[peaks], nw[peaks]
+    if float(np.abs(tw).max()) > math.sqrt(float(np.finfo(float).max) / tw.size):
+        raise ParameterOutOfRange(f"the fit's sum of squared times overflows at t = {tw.max():.6g}")
     slope = np.polyfit(tw, -np.log(nw), 1)[0]
     return float(slope)
 

@@ -521,6 +521,39 @@ def test_overlapped_grid_certify_runs_each_step_once(grid_problem, tmp_path, mon
     assert shapes == [(4, 133, 133) if _openblas_threads() is not None else (133, 133)]
 
 
+@pytest.mark.parametrize("eps, sigma", [
+    (1.0, 1.0),
+    tuple(np.random.default_rng(7).uniform(lo, hi, 27) for lo, hi in ((1.0, 2.0), (0.5, 1.5))),
+], ids=["unit", "per-cell"])
+def test_grid_certify_takes_three_svds(eps, sigma, tmp_path, monkeypatch):
+    # One SVD in decompose, one for ||gamma_tilde|| and one for the cover's
+    # ||B_res||: kappa_norm comes from the weights' roots, and the Cholesky
+    # test decides every square of the cover.
+    problem = str(tmp_path / "grid.json")
+    cli.dump_problem(sc.build_maxwell_system(sc.GridSpec(N=3), eps=eps, sigma=sigma), problem)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["certify", problem, "-o", str(tmp_path / "r.json")]) == 0
+    assert shapes == [(81, 81), (81, 81), (133, 133)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_fit_refuses_times_whose_squares_overflow(grid_problem, tmp_path, capsys):
+    # polyfit sums the squared sample times, which overflow at t_end = 1e306:
+    # the fit is refused, so fitted_rate is null, with no warning.
+    out = tmp_path / "s.json"
+    argv = ["simulate", grid_problem, "--t-end", "1e306", "--samples", "801", "-o", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["fitted_rate"] is None
+
+
 @pytest.mark.parametrize("corruption", ["scaled iota1", "rotated iota0"])
 def test_corrupted_frames_fail_the_restriction_verdict(tmp_path, monkeypatch, corruption):
     # With gamma = I both corruptions leave B_res, and so the certificate and

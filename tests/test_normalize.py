@@ -86,6 +86,32 @@ class TestNormalizeSystem:
             assert np.array_equal(sqrt, ref_sqrt) and np.array_equal(inv, ref_inv)
         assert checked == ["sqrt_factor argument"] * 2
 
+    def test_kappa_norm_is_the_product_of_the_factors_norms(self):
+        # kappa_norm is read from the weights' roots.  It equals the four
+        # SVDs of max(||sa||, ||sb||) * max(||sai||, ||sbi||) exactly on
+        # diagonal weights, whose SVD returns the diagonal, and to rounding
+        # on dense ones.
+        def four_norms(ns):
+            return (max(sc.operator_norm(ns.sqrt_alpha), sc.operator_norm(ns.sqrt_beta))
+                    * max(sc.operator_norm(ns.sqrt_alpha_inv), sc.operator_norm(ns.sqrt_beta_inv)))
+
+        rng = np.random.default_rng(7)
+        diagonal = [
+            sc.build_maxwell_system(sc.GridSpec(N=3)),
+            sc.build_maxwell_system(sc.GridSpec(N=3), eps=rng.uniform(1.0, 2.0, 27),
+                                    sigma=rng.uniform(0.5, 1.5, 27)),
+        ]
+        for n0, n1 in ((1, 1), (3, 2), (6, 6), (4, 0)):
+            alpha, beta = (np.diag(rng.uniform(0.01, 100.0, n)) for n in (n0, n1))
+            diagonal.append(sc.validate_system(alpha, beta, np.eye(n0), rng.standard_normal((n1, n0))))
+        for system in diagonal:
+            ns = sc.normalize_system(system)
+            assert ns.kappa_norm == four_norms(ns)
+        for n0, n1 in ((1, 1), (2, 3), (5, 4), (6, 6)):
+            for _ in range(10):
+                ns = sc.normalize_system(random_block_system(rng, n0, n1, min(n0, n1)))
+                assert ns.kappa_norm == pytest.approx(four_norms(ns), rel=1e-14, abs=0)
+
     def test_identity_weights_are_a_no_op(self):
         g = np.array([[1.0, 0.3], [0.0, 2.0]])
         C = np.array([[1.0, 0.0]])

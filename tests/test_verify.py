@@ -14,6 +14,7 @@ from stabcert import (
     DegenerateShift,
     DimensionMismatch,
     NotInvertible,
+    ParameterOutOfRange,
     Singular,
     SingularBlock,
     TooFewSamples,
@@ -552,11 +553,20 @@ class TestSimulate:
         expected = np.linalg.norm(snapshots[-1].reshape(101, -1), axis=1)
         assert np.array_equal(trace.state_norms, expected)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_trajectory_that_overflows_is_refused(self):
+        # The restricted generator of alpha = beta = gamma = 1, C = 1e20 on
+        # certify's time range: ||dt B||_1 = 2.5e18 is finite, but exp(dt B)
+        # and its powers overflow.  One typed error, not warnings and nan norms.
+        B_res = prepare(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1e20]])).B_res
+        with pytest.raises(ParameterOutOfRange, match=r"\|\|dt B\|\|_1"):
+            sc.simulate(B_res, np.ones(B_res.shape[0], dtype=complex), 20.0, 801)
+
 
 class TestExpm:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matches_scipy_over_six_decades_of_norm(self, dtype):
-        # ||A||_1 from 1e-3 to 1e3 takes 0 to 8 squarings.  The spectra are
+        # ||A||_1 from 1e-3 to 1e3 takes 0 to 9 squarings.  The spectra are
         # shifted into Re < 0, so that no exponential overflows, and the
         # error allowed grows with ||A||_1.  Most of it is scipy's: against
         # 60-digit exponentials (mpmath, n <= 5) _expm was within
@@ -571,18 +581,21 @@ class TestExpm:
                     A += 1j * rng.standard_normal((n, n))
                 A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
                 A *= norm / np.abs(A).sum(axis=0).max()
-                squarings.add(max(0, math.ceil(math.log2(norm / verify._THETA13))))
+                squarings.add(max(0, math.ceil(math.log2(norm / verify._PADE[9][1]))))
                 E, ref = verify._expm(A), scipy.linalg.expm(A)
                 assert E.dtype == ref.dtype
                 assert np.abs(E - ref).max() <= 1e-13 * max(norm, 1.0) * np.abs(ref).max(), (n, norm)
-        assert squarings == set(range(9))
+        assert squarings == set(range(10))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_each_degree_at_its_theta(self, dtype):
         # Just below theta_m the degree-m approximant runs unscaled; just
-        # above, the next degree (above theta_9, degree 13) takes over.
+        # above, the next degree takes over.  Above theta_9 the matrix is
+        # scaled by 2**-s until ||A||_1 <= theta_9: just below and just above
+        # each theta_9 * 2**k, s must still meet it.
         rng = np.random.default_rng(31)
-        thetas = [theta for _, theta in verify._PADE.values()] + [verify._THETA13]
+        thetas = [theta for _, theta in verify._PADE.values()]
+        thetas += [verify._PADE[9][1] * 2**k for k in range(1, 7)]
         for theta in thetas:
             for norm in (theta * (1 - 1e-6), theta * (1 + 1e-6)):
                 for n in (1, 3, 12):
