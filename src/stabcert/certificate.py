@@ -384,9 +384,9 @@ _AUDIT_EVALS = 128  # square centres tested per pass of the small-frequency cove
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
 # and the oracle cover factor dense m x m matrices, a few dozen in practice,
 # and the oracles take dense eigenvalues: with per-cell materials at N = 5
-# (m = 623, admitted) audit_system takes 0.83 to 1.15 s on 2 cores, about
-# 0.24 s of it in the cover's 9 centres on one BLAS thread, beside the
-# abscissa's eigensolve (about 0.28 s).  A cover that runs into its cap of
+# (m = 623, admitted) audit_system takes 0.44 to 0.47 s on 2 cores, the
+# abscissa's eigensolve and the trajectory on a worker thread beside the
+# cover's 9 centres on one BLAS thread.  A cover that runs into its cap of
 # 802 centres would take about 36 s there (401 Gram and Cholesky tests of
 # about 0.09 s each); N = 6 (m = 1064) is refused.
 _MAX_AUDIT_DIM = 640
@@ -512,10 +512,10 @@ def full_certificate(sys: BlockSystem | PreparedProblem) -> StabilityCertificate
 def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     """Certify a system and check the certificate against every oracle.
 
-    One recipe, in this order: :func:`prepare`; the certificate; a cover
-    proving the resolvent norm of the restricted generator at most M_total
-    (relative slack 1e-6) on Re z >= -delta_cert/2, which holds both lines
-    the sweep verdicts name; a random admissible start drawn from ``seed``;
+    One recipe, in this order: :func:`prepare`; the certificate; a random
+    admissible start drawn from ``seed``; a cover proving the resolvent norm
+    of the restricted generator at most M_total (relative slack 1e-6) on
+    Re z >= -delta_cert/2, which holds both lines the sweep verdicts name;
     the defects that make a trajectory of the restricted generator the full
     generator's (at most _RESTRICTION_TOL each); the spectral abscissa of the
     restricted generator, from its eigenvalues alone; and the 801-sample
@@ -523,33 +523,36 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     fitted to it.  ``checks`` holds one verdict per comparison.
 
     Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).
-    The serial and the overlapped run differ in one line, the one that
-    reads the abscissa: for a generator of at least _OVERLAP_MIN_DIM rows on
-    more than one CPU, from an eigensolve started on a worker thread (without
-    the interpreter lock) and joined after the defects; otherwise from
-    :func:`spectral_abscissa`.  Results, and the error raised when a step
-    fails, are those of the serial order: an error of this thread wins.
+    For a generator of at least _OVERLAP_MIN_DIM rows on more than one CPU,
+    a worker thread started after :func:`prepare` takes the abscissa, from an
+    eigensolve run without the interpreter lock, waits for the start this
+    thread hands it, and runs the trajectory while this thread runs the
+    cover and the defects; the fit follows the join.  Otherwise every step
+    runs on this thread, in the order above.  Only this thread calls the
+    functions the benchmark's tracer wraps.  Results, and the error raised
+    when a step fails, are those of the serial order: an error of this
+    thread wins.
     """
     with single_blas_thread() as pinned:
         prep = prepare(sys)
         ns, frames, B_res = prep.normalized, prep.frames, prep.B_res
         overlap = pinned and B_res.shape[0] >= _OVERLAP_MIN_DIM and usable_cpus() > 1
-        worker = _Worker(_unlocked_eigvals, B_res) if overlap else None
+        worker = _Worker(_trajectory, B_res, frames, _eigvals_abscissa) if overlap else None
         try:
             cert = full_certificate(prep)
-            cover = resolvent_cover(B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
             u0, v_raw = random_components(seed, ns.n0, ns.n1)
             U0, residual = admissible_start(ns, frames, u0, v_raw)
+            if worker:
+                worker.hand(U0)
+            cover = resolvent_cover(B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
             defects = restriction_defects(ns.gamma_tilde, ns.D, frames, B_res)
         finally:
             if worker:
+                worker.hand(None)  # releases a worker still waiting for the start
                 worker.join()
-        abscissa = float(worker.result().real.max()) if worker else spectral_abscissa(B_res)
-        # The rounding-level part of U0 in ker(D*) never decays; end the run
-        # while the decaying part, near exp(-30), is still far above it, and
-        # at t = 20 at the latest.
-        t_end = 30.0 / max(-abscissa, 1.5)
-        trace = restricted_simulate(B_res, frames, U0, t_end, 801)
+        abscissa, trace = (
+            worker.result() if worker else _trajectory(B_res, frames, spectral_abscissa, lambda: U0)
+        )
         fitted = fit_decay_rate(trace)
 
     norms = trace.state_norms
@@ -585,38 +588,81 @@ _RESTRICTION_TOL = 1e-10
 
 
 # Smallest restricted generator for which audit_system runs the abscissa's
-# eigensolve on a worker thread.  Small kernels take microseconds, and the
-# two threads then mostly hand the interpreter lock back and forth: the
-# benchmark corpus (m <= 12) stays serial.  Medians of 40 interleaved pairs
-# on 2 cores, serial against overlapped, on random systems: 5.4 against
-# 6.8 ms at m = 16 (overlap faster in 0 pairs), 12.0 against 12.9 ms at
-# m = 32 (5 pairs) and 71.6 against 70.8 ms at m = 64 (20 pairs, even); on
-# the per-cell N = 3 grid (m = 133), 34.0 against 25.4 ms (39 pairs).  At
-# m = 133, measured as the progress a pure-Python loop keeps beside a
-# thread that runs the kernel, numpy 2.4 holds the lock in eigvals (hence
-# the padded stack of _unlocked_eigvals), eigvalsh, and
-# svd(compute_uv=False) of one or three matrices; it releases the lock in
+# eigensolve and the trajectory on a worker thread.  Small kernels take
+# microseconds, and the two threads then mostly hand the interpreter lock back
+# and forth: the benchmark corpus (m <= 12) stays serial.  Medians of 40
+# interleaved pairs on 2 cores, serial against overlapped, on random systems
+# of tests/helpers.py with n0 = n1 = rank = m/2: in real arithmetic, as on the
+# grids, 1.9 against 2.7 ms at m = 16 (overlap faster in 0 pairs), 3.1 against
+# 3.7 ms at m = 32 (0), 5.9 against 6.0 ms at m = 48 (10) and 8.2 against
+# 7.6 ms at m = 64 (38).  Complex systems, whose kernels cost more, gain from
+# m = 32 on (9.9 against 9.4 ms, 31 pairs), real ones only above 48.  On the
+# N = 3 grids (m = 133): 16.5 against 11.4 ms (unit) and 18.8 against 12.4 ms
+# (per-cell), 40 pairs each.  At m = 133, measured as the progress a
+# pure-Python loop keeps beside a thread that runs the kernel, numpy 2.4 holds
+# the lock in eigvals (hence the padded stack of _unlocked_eigvals), eigvalsh,
+# and svd(compute_uv=False) of one or three matrices; it releases the lock in
 # matrix products, solve, Cholesky factorizations, an SVD with vectors and
-# svd(compute_uv=False) of four.  So the calling thread's cover, whose
-# Grams and Cholesky tests release the lock, runs beside the eigensolve.
+# svd(compute_uv=False) of four.  So the calling thread's cover, whose Grams
+# and Cholesky tests release the lock, runs beside the eigensolve and the
+# trajectory's products.
 _OVERLAP_MIN_DIM = 64
 
 
+def _eigvals_abscissa(B_res) -> float:
+    """The spectral abscissa from the lock-free eigensolve of the worker thread."""
+    return float(_unlocked_eigvals(B_res).real.max())
+
+
+def _trajectory(B_res, frames: HelmholtzFrames, abscissa_of, take_start):
+    """``(abscissa, trace)``: the abscissa, then the trajectory of ``take_start()``.
+
+    Returns None when ``take_start()`` gives None: the calling thread failed
+    before it drew the start, and its error is the one raised.
+    """
+    abscissa = abscissa_of(B_res)
+    U0 = take_start()
+    if U0 is None:
+        return None
+    # The rounding-level part of U0 in ker(D*) never decays; end the run
+    # while the decaying part, near exp(-30), is still far above it, and
+    # at t = 20 at the latest.
+    t_end = 30.0 / max(-abscissa, 1.5)
+    return abscissa, restricted_simulate(B_res, frames, U0, t_end, 801)
+
+
 class _Worker(threading.Thread):
-    """Runs ``fn(*args)`` at once; :meth:`result` joins and returns or raises."""
+    """Runs ``fn(*args, take)`` at once; :meth:`result` joins and returns or raises.
+
+    ``take()`` waits until the calling thread has :meth:`hand`-ed a value
+    over and returns it.
+    """
 
     def __init__(self, fn, *args) -> None:
         # A daemon: after an interrupted join the process can still exit.
         super().__init__(name=f"stabcert-{fn.__name__}", daemon=True)
-        self._call = functools.partial(fn, *args)
-        self._value = self._error = None
+        self._call = functools.partial(fn, *args, self._take)
+        self._value = self._error = self._handed = None
+        self._ready = threading.Event()
         self.start()
+
+    def hand(self, value) -> None:
+        """Give ``take()`` its value; only the first call counts."""
+        if not self._ready.is_set():
+            self._handed = value
+            self._ready.set()
+
+    def _take(self):
+        self._ready.wait()
+        return self._handed
 
     def run(self) -> None:
         try:
             self._value = self._call()
         except BaseException as exc:  # handed to the joining thread
             self._error = exc
+        finally:
+            del self._call  # it holds self._take: a reference cycle
 
     def result(self):
         self.join()

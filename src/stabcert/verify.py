@@ -258,15 +258,18 @@ def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
     m = B.shape[0]
     zs = np.asarray(zs, dtype=complex).ravel()
     shifts, back = _conjugate_pairs(B, zs)
-    off_diagonal_sq = B.real**2 + B.imag**2
-    np.fill_diagonal(off_diagonal_sq, 0.0)
-    diagonal = shifts[:, None] - np.diag(B)  # the diagonal of each A, as formed below
-    diagonal_sq = diagonal.real**2 + diagonal.imag**2
-    F = (diagonal_sq.sum(axis=1) + off_diagonal_sq.sum()) * (1.0 + 2.0 * _gamma(m * m + 4))
-    e = 2.0 * _U * np.sqrt(diagonal_sq.max(axis=1))
     real = (shifts.imag == 0) if np.isrealobj(B) else np.zeros(shifts.shape, dtype=bool)
     w = np.where(real, _gamma(m + 1), math.sqrt(2.0) * _gamma(2 * m + 2))
-    t = ((s + e) ** 2 + 3.0 * w * F + m * 2.0**-1070) * (1.0 + 8.0 * _U)
+    # Entries above about 1e154 square to inf: t is then infinite, the
+    # centre undecided, and the SVD rule of the caller decides it.
+    with np.errstate(over="ignore"):
+        off_diagonal_sq = B.real**2 + B.imag**2
+        np.fill_diagonal(off_diagonal_sq, 0.0)
+        diagonal = shifts[:, None] - np.diag(B)  # the diagonal of each A, as formed below
+        diagonal_sq = diagonal.real**2 + diagonal.imag**2
+        F = (diagonal_sq.sum(axis=1) + off_diagonal_sq.sum()) * (1.0 + 2.0 * _gamma(m * m + 4))
+        e = 2.0 * _U * np.sqrt(diagonal_sq.max(axis=1))
+        t = ((s + e) ** 2 + 3.0 * w * F + m * 2.0**-1070) * (1.0 + 8.0 * _U)
     decided = t <= (1.0 + _DECIDES) * s * s
     proved = np.zeros(shifts.shape, dtype=bool)
     for group, points in ((decided & real, shifts.real), (decided & ~real, shifts)):
@@ -632,8 +635,14 @@ def restriction_defects(gamma, D, frames: HelmholtzFrames, B_res) -> tuple[float
     """
     G = assemble_generator(gamma, D)
     F = frame_embedding(frames)
-    scale = np.linalg.norm(G)
-    residual = float(np.linalg.norm(G @ F - F @ as_square_matrix(B_res, "B_res")))
+    R = G @ F - F @ as_square_matrix(B_res, "B_res")
+    with np.errstate(over="ignore"):
+        scale, residual = float(np.linalg.norm(G)), float(np.linalg.norm(R))
+    if not math.isfinite(scale + residual):
+        # Entries above about 1e154 square to inf: scale both by a power of
+        # two, which is exact and cancels in the ratio.
+        k = math.frexp(max(float(np.abs(G).max()), float(np.abs(R).max())))[1]
+        scale, residual = float(np.linalg.norm(G * 2.0**-k)), float(np.linalg.norm(R * 2.0**-k))
     defect = float(np.linalg.norm(F.conj().T @ F - np.eye(F.shape[1])))
     return (residual / scale if scale else residual), defect
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import threading
 import time
@@ -631,7 +632,7 @@ class TestOverlappedCover:
 
     def test_overlap_matches_the_serial_order(self, overlap):
         s = _hetero_grid()
-        cover_threads, eigvals_threads = [], []
+        cover_threads, eigvals_threads, simulate_threads = [], [], []
 
         def cover(*args):
             cover_threads.append(threading.current_thread())
@@ -641,16 +642,27 @@ class TestOverlappedCover:
             eigvals_threads.append(threading.current_thread())
             return verify._unlocked_eigvals(B)
 
+        def simulate(*args):
+            simulate_threads.append(threading.current_thread())
+            return verify.restricted_simulate(*args)
+
         overlap.setattr(certificate, "resolvent_cover", cover)
         overlap.setattr(certificate, "_unlocked_eigvals", eigvals)
+        overlap.setattr(certificate, "restricted_simulate", simulate)
         on = sc.audit_system(s)
         overlap.setattr(certificate, "_OVERLAP_MIN_DIM", 10**9)
         off = sc.audit_system(s)
         # The cover runs on this thread in both orders; the lock-free
-        # eigensolve runs on the worker, and only when the overlap is taken.
-        assert cover_threads == [threading.current_thread()] * 2
-        assert len(eigvals_threads) == (_openblas_threads() is not None)
-        assert threading.current_thread() not in eigvals_threads
+        # eigensolve and then the trajectory run on the worker, and only
+        # when the overlap is taken.
+        here = threading.current_thread()
+        overlapped = _openblas_threads() is not None
+        assert cover_threads == [here] * 2
+        assert len(eigvals_threads) == overlapped
+        assert here not in eigvals_threads
+        assert len(simulate_threads) == 2 and simulate_threads[1] is here
+        assert (simulate_threads[0] is here) is not overlapped
+        assert simulate_threads[:overlapped] == eigvals_threads
         assert dataclasses.asdict(on.certificate) == dataclasses.asdict(off.certificate)
         assert dataclasses.asdict(on.cover) == dataclasses.asdict(off.cover)
         assert on.abscissa == off.abscissa and on.fitted_rate == off.fitted_rate
@@ -678,12 +690,60 @@ class TestOverlappedCover:
             sc.audit_system(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]]))
         assert (threading.active_count(), blas and blas[0]()) == before
 
+    def test_a_certificate_error_releases_the_waiting_worker(self, overlap):
+        # full_certificate fails before the start is handed over: the worker
+        # takes the abscissa, is released with no start and returns without
+        # simulating, and the certificate's error is raised, on both paths.
+        ran = []
+
+        def fail_certificate(prep):
+            ran.append("full_certificate")
+            raise CertificateFailure("full_certificate failed")
+
+        def eigvals(B):
+            ran.append("eigensolve")
+            return verify._unlocked_eigvals(B)
+
+        def simulate(*args):
+            ran.append("restricted_simulate")
+            return verify.restricted_simulate(*args)
+
+        overlap.setattr(certificate, "full_certificate", fail_certificate)
+        overlap.setattr(certificate, "_unlocked_eigvals", eigvals)
+        overlap.setattr(certificate, "restricted_simulate", simulate)
+        s = sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        blas = _openblas_threads()
+        before = (threading.active_count(), blas and blas[0]())
+        for min_dim in (0, 10**9):  # overlapped where the BLAS pin holds, then serial
+            overlap.setattr(certificate, "_OVERLAP_MIN_DIM", min_dim)
+            ran.clear()
+            with pytest.raises(CertificateFailure, match="full_certificate failed"):
+                sc.audit_system(s)
+            assert (threading.active_count(), blas and blas[0]()) == before
+            overlapped = min_dim == 0 and blas is not None
+            assert sorted(ran) == ["eigensolve"] * overlapped + ["full_certificate"]
+
+    def test_the_worker_leaves_no_reference_cycle(self, overlap):
+        # A worker kept alive by a cycle would hold B_res, the frames and
+        # the trajectory until the cyclic collector ran: about 2 MB more
+        # heap in use on the N = 3 grid, resident because it is fragmented.
+        s = sc.build_maxwell_system(sc.GridSpec(N=3))
+        gc.collect()
+        gc.disable()
+        try:
+            sc.audit_system(s)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("failing", ["calling thread", "eigensolve", "both"])
     def test_the_serial_order_decides_which_error_is_raised(self, overlap, failing):
         # The eigensolve sleeps, so a calling-thread step fails while it is
         # still running.  In the serial order the restriction defects come
         # before the abscissa, so their error is the one raised when both
-        # fail, whichever path the CPU count picks.
+        # fail, whichever path the CPU count picks.  The start is handed to
+        # the worker before the cover, so there a worker whose eigensolve
+        # succeeds goes on to simulate before it is joined.
         ran = []
 
         def slow_eigvals(B):
@@ -723,10 +783,12 @@ class TestOverlappedCover:
             with pytest.raises(error, match=f"{match} failed"):
                 sc.audit_system(s)
             assert (threading.active_count(), blas and blas[0]()) == before
-            assert "restricted_simulate" not in ran
             if min_dim == 0 and blas is not None:
                 # Joined before the error left audit_system.
-                assert ran == ["restriction_defects", "eigensolve"]
+                simulated = ["restricted_simulate"] * (failing == "calling thread")
+                assert ran == ["restriction_defects", "eigensolve"] + simulated
+            else:
+                assert "restricted_simulate" not in ran
 
 
 _BLOCKS = ("alpha", "beta", "gamma", "C")

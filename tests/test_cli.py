@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -310,6 +311,22 @@ def test_simulate_refuses_a_step_that_overflows(scalar_problem, tmp_path, capsys
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ParameterOutOfRange"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_certify_of_a_huge_coupling_ends_in_one_typed_line(tmp_path, capsys):
+    # C = 1e160: the Cholesky allowance and the restriction defects square
+    # entries above 1e154, which overflowed with warnings before the
+    # trajectory's typed refusal was reached.
+    problem, out = str(tmp_path / "p.json"), tmp_path / "r.json"
+    cli.dump_problem(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1e160]]), problem)
+    assert main(["certify", problem, "-o", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ParameterOutOfRange"
+    assert error["detail"].startswith("the trajectory overflows")
     assert not out.exists()
 
 
@@ -990,3 +1007,25 @@ def test_overlapped_cover_calls_nothing_the_tracer_wraps(grid_problem, tmp_path,
     assert cover_threads == [threading.current_thread()]
     assert len(eigvals_threads) == (_openblas_threads() is not None)
     assert threading.current_thread() not in eigvals_threads
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or _openblas_threads() is None,
+                    reason="needs Linux page-fault counts and numpy's OpenBLAS")
+def test_overlapped_certify_does_not_fault_its_heap_back_in(grid_problem, tmp_path, monkeypatch):
+    # With the trajectory's 1.7 MB of states on the worker thread, the
+    # calling thread's heap stays under glibc's trim threshold, so a warm
+    # certify no longer hands pages back to the kernel and faults them in
+    # again (about 900 minor faults per call when the trajectory ran after
+    # the join; about 5 since).
+    import resource
+
+    monkeypatch.setattr(sc.certificate, "usable_cpus", lambda: 2)
+    argv = ["certify", grid_problem, "-o", str(tmp_path / "r.json")]
+    for _ in range(3):
+        assert main(argv) == 0
+    faults = []
+    for _ in range(10):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert statistics.median(faults) < 100, faults

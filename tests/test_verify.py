@@ -463,6 +463,15 @@ class TestSigmaMinTest:
         assert decided.all() and proved.tolist() == [False, True]
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_whose_squares_overflow_leave_the_centre_undecided(self):
+        # The allowance squares the entries: at 1e160 it is infinite, so no
+        # centre is decided, and the SVD rule of the caller decides them.
+        B = prepare(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1e160]])).B_res
+        proved, decided = verify._sigma_min_test(B, [0.5, 1.0 + 2.0j], 1.0)
+        assert not decided.any() and not proved.any()
+
+
 class TestSpectralAbscissa:
     def test_scalar_damped(self):
         expected = float(np.roots([1.0, 1.0, 1.0]).real.max())
@@ -672,6 +681,17 @@ class TestRestrictedSimulate:
         ref = sc.simulate(sc.assemble_generator(ns.gamma_tilde, ns.D), U0, 40.0, 401)
         assert np.allclose(trace.state_norms, ref.state_norms, rtol=1e-10, atol=0)
         assert trace.state_norms.min() >= 0.6 * (1.0 - 1e-12)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 1e160])
+    def test_restriction_defects_of_entries_whose_squares_overflow(self, c):
+        # ||G||_F overflows at C = 1e160: both norms are taken after an exact
+        # power-of-two scaling, so the relative residual is not inf / inf.
+        prep = prepare(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[c]]))
+        ns = prep.normalized
+        residual, defect = verify.restriction_defects(ns.gamma_tilde, ns.D, prep.frames, prep.B_res)
+        assert 0.0 <= residual <= 1e-15 and 0.0 <= defect <= 1e-15
 
 
 class TestFitDecayRate:
