@@ -384,7 +384,7 @@ _AUDIT_EVALS = 128  # square centres tested per pass of the small-frequency cove
 # Largest restricted generator, m = n0 + rank, that prepare admits.  The audit
 # and the oracle cover factor dense m x m matrices, a few dozen in practice,
 # and the oracles take dense eigenvalues: with per-cell materials at N = 5
-# (m = 623, admitted) audit_system takes 0.44 to 0.47 s on 2 cores, the
+# (m = 623, admitted) audit_system takes 0.45 to 0.51 s on 2 cores, the
 # abscissa's eigensolve and the trajectory on a worker thread beside the
 # cover's 9 centres on one BLAS thread.  A cover that runs into its cap of
 # 802 centres would take about 36 s there (401 Gram and Cholesky tests of
@@ -597,7 +597,7 @@ _RESTRICTION_TOL = 1e-10
 # 3.7 ms at m = 32 (0), 5.9 against 6.0 ms at m = 48 (10) and 8.2 against
 # 7.6 ms at m = 64 (38).  Complex systems, whose kernels cost more, gain from
 # m = 32 on (9.9 against 9.4 ms, 31 pairs), real ones only above 48.  On the
-# N = 3 grids (m = 133): 16.5 against 11.4 ms (unit) and 18.8 against 12.4 ms
+# N = 3 grids (m = 133): 15.8 against 10.5 ms (unit) and 18.1 against 12.0 ms
 # (per-cell), 40 pairs each.  At m = 133, measured as the progress a
 # pure-Python loop keeps beside a thread that runs the kernel, numpy 2.4 holds
 # the lock in eigvals (hence the padded stack of _unlocked_eigvals), eigvalsh,

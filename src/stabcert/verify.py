@@ -599,14 +599,16 @@ def _propagate(B, U0, times) -> np.ndarray:
     # Checked before dt B is formed: its 1-norm would overflow in numpy, with a warning.
     if not step_norm < math.inf:
         raise ParameterOutOfRange(f"||dt B||_1 overflows at the step dt = {dt!r}; lower t_end or add samples")
-    if np.isrealobj(B):
-        states = np.empty((2 * n, m))
-        states[0], states[1], width = U0.real, U0.imag, 2
-    else:
-        states = np.empty((n, m), dtype=complex)
-        states[0], width = U0, 1
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused once, below
+        # Before the states are allocated: with them, the exponential's
+        # temporaries raised the peak from 1.9 to 2.9 MB on the N = 3 grid.
         power = _expm(dt * B).T  # transposed, as rows multiply it
+        if np.isrealobj(B):
+            states = np.empty((2 * n, m))
+            states[0], states[1], width = U0.real, U0.imag, 2
+        else:
+            states = np.empty((n, m), dtype=complex)
+            states[0], width = U0, 1
         k = 1
         while k < n:
             if k > 1:
