@@ -258,8 +258,6 @@ def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
     m = B.shape[0]
     zs = np.asarray(zs, dtype=complex).ravel()
     shifts, back = _conjugate_pairs(B, zs)
-    real = (shifts.imag == 0) if np.isrealobj(B) else np.zeros(shifts.shape, dtype=bool)
-    w = np.where(real, _gamma(m + 1), math.sqrt(2.0) * _gamma(2 * m + 2))
     # Entries above about 1e154 square to inf: t is then infinite, the
     # centre undecided, and the SVD rule of the caller decides it.
     with np.errstate(over="ignore"):
@@ -269,6 +267,8 @@ def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
         diagonal_sq = diagonal.real**2 + diagonal.imag**2
         F = (diagonal_sq.sum(axis=1) + off_diagonal_sq.sum()) * (1.0 + 2.0 * _gamma(m * m + 4))
         e = 2.0 * _U * np.sqrt(diagonal_sq.max(axis=1))
+        real = (shifts.imag == 0) if np.isrealobj(B) else np.zeros(shifts.shape, dtype=bool)
+        w = np.where(real, _gamma(m + 1), math.sqrt(2.0) * _gamma(2 * m + 2))
         t = ((s + e) ** 2 + 3.0 * w * F + m * 2.0**-1070) * (1.0 + 8.0 * _U)
     decided = t <= (1.0 + _DECIDES) * s * s
     proved = np.zeros(shifts.shape, dtype=bool)

@@ -462,7 +462,6 @@ class TestSigmaMinTest:
         proved, decided = verify._sigma_min_test(B, [1e-12, 0.5], 0.25)
         assert decided.all() and proved.tolist() == [False, True]
 
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_entries_whose_squares_overflow_leave_the_centre_undecided(self):
         # The allowance squares the entries: at 1e160 it is infinite, so no
@@ -681,7 +680,6 @@ class TestRestrictedSimulate:
         ref = sc.simulate(sc.assemble_generator(ns.gamma_tilde, ns.D), U0, 40.0, 401)
         assert np.allclose(trace.state_norms, ref.state_norms, rtol=1e-10, atol=0)
         assert trace.state_norms.min() >= 0.6 * (1.0 - 1e-12)
-
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", [1.0, 1e160])
