@@ -519,7 +519,7 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
     the defects that make a trajectory of the restricted generator the full
     generator's (at most _RESTRICTION_TOL each); the spectral abscissa of the
     restricted generator, from its eigenvalues alone; and the 801-sample
-    trajectory of the start, from one Pade exponential, with the decay rate
+    trajectory of the start, from one Taylor exponential, with the decay rate
     fitted to it.  ``checks`` holds one verdict per comparison.
 
     Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).

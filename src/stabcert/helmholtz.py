@@ -126,6 +126,8 @@ def decompose(C) -> HelmholtzFrames:
     n1, n0 = C.shape
 
     U, s, Vh = np.linalg.svd(C)
+    if s.size and not np.isfinite(s[0]):
+        raise ParameterOutOfRange("the largest singular value of C overflows")
     r = int(np.count_nonzero(s >= max(n0, n1) * _EPS * s[0])) if s.size and s[0] > 0 else 0
     V = Vh.conj().T
     iota1 = U[:, :r]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, ParameterOutOfRange
 from .model import (
     ComplexMatrix,
     BlockSystem,
@@ -108,12 +108,15 @@ def normalize_system(sys: BlockSystem) -> NormalizedSystem:
     """Transport a validated system to unit weights.
 
     :func:`~stabcert.model.validate_system` has checked that the weights are
-    Hermitian, so they are factored without checking again.
+    Hermitian, so they are factored without checking again.  A transported
+    block past the float range raises ParameterOutOfRange.
     """
     (sa, sai, roots_alpha), (sb, sbi, roots_beta) = _sqrt_factor(sys.alpha), _sqrt_factor(sys.beta)
     roots = np.concatenate([roots_alpha, roots_beta])
-    gamma_tilde = sai @ sys.gamma @ sai
-    D = sbi @ sys.C @ sai
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        gamma_tilde, D = sai @ sys.gamma @ sai, sbi @ sys.C @ sai
+    if not (np.isfinite(gamma_tilde).all() and np.isfinite(D).all()):
+        raise ParameterOutOfRange("the normalized damping or coupling has entries past the float range")
     return NormalizedSystem(
         gamma_tilde=gamma_tilde,
         D=D,

@@ -2,7 +2,7 @@
 
 Nothing in this module trusts the certificate chain.  Resolvent norms come
 from singular values of the shifted generator, spectral abscissae from
-dense eigenvalues (no eigenvectors), trajectories from one Pade matrix
+dense eigenvalues (no eigenvectors), trajectories from one Taylor matrix
 exponential raised to each sample's power, and decay rates from a
 log-linear fit.  These are the oracles the certified constants are checked
 against; the trajectory and the abscissa share no computation.
@@ -492,7 +492,7 @@ def _unlocked_eigvals(B: np.ndarray) -> np.ndarray:
 def simulate(B, U0, t_end: float, samples: int) -> TrajectoryTrace:
     """Sample ||exp(t B) U0|| at equally spaced times in [0, t_end].
 
-    One Pade exponential exp(dt B), raised to every sample's power by binary
+    One Taylor exponential exp(dt B), raised to every sample's power by binary
     powering (:func:`_propagate`), gives the samples, whether or not B is
     diagonalizable.
     """
@@ -538,92 +538,87 @@ def _trajectory_input(U0, n: int, t_end: float, samples: int) -> tuple[np.ndarra
     return U0, np.linspace(0.0, t_end, samples)
 
 
-# Coefficients b_0..b_m of p in the [m/m] Pade approximant p(x)/p(-x) of
-# exp, and the largest ||A||_1 at which its backward error stays below the
-# unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3).
-_PADE = {
-    3: ((120.0, 60.0, 12.0, 1.0), 1.495585217958292e-2),
-    5: ((30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0), 2.539398330063230e-1),
-    7: ((17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-        9.504178996162932e-1),
-    9: ((17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-         2162160.0, 110880.0, 3960.0, 90.0, 1.0), 2.097847961257068e0),
-}
+# The largest ||A||_1 at which the degree-m Taylor polynomial of exp has a
+# backward error below 2**-53 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+# 2011, Table 3.1), recomputed to 16 digits and rounded down; and 1/j!.
+_TAYLOR = {4: 3.397168839976961e-4, 9: 8.957760203223342e-2, 16: 7.802874256626574e-1, 25: 2.428582524442826}
+_INVERSE_FACTORIALS = np.array([1 / math.factorial(j) for j in range(26)])
 
 
 def _expm(A) -> np.ndarray:
-    """exp(A) by scaling and squaring with a Pade approximant (Higham 2005).
+    """exp(A) by scaling and squaring with a Taylor polynomial (Al-Mohy and Higham 2011).
 
-    The smallest degree m in (3, 5, 7, 9) with ||A||_1 <= theta_m gives
-    r = q(A)^-1 p(A) from (m + 1)/2 products and one solve.  Above theta_9,
-    A is scaled by 2**-s so that ||A||_1 <= theta_9, and r is squared s
-    times.  Unlike an eigendecomposition, it is accurate however
-    ill-conditioned the eigenvectors of A are.
+    The smallest degree m in (4, 9, 16, 25) with ||A||_1 <= theta_m gives
+    T_m(A) = sum_(j <= m) A^j / j! by Paterson and Stockmeyer's scheme: with
+    k = sqrt(m) and P = A^k, T_m(A) = Q_0 + P (Q_1 + ... + P Q_(k-1)), each
+    Q_i a sum of A^0 to A^(k-1) (Q_(k-1) also of P), in 2 k - 2 products.
+    Above theta_25, A is scaled by 2**-s so that ||A||_1 <= theta_25, and
+    T_m is squared s times.  Unlike an eigendecomposition, it is accurate
+    however ill-conditioned the eigenvectors of A are.
     """
     A = np.asarray(A)
     if not A.size:
         return np.array(A)
     norm = float(np.abs(A).sum(axis=0).max())
-    # frexp's s has norm / theta_9 < 2**s, rounding included; scaling by 2**-s is exact.
-    s = math.frexp(norm / _PADE[9][1])[1] if norm > _PADE[9][1] else 0
-    A, norm = A * 0.5**s, norm * 0.5**s
-    eye = np.eye(A.shape[0], dtype=A.dtype)
-    b = next((b for b, theta in _PADE.values() if norm <= theta), _PADE[9][0])
-    A2 = A @ A
-    power, U, V = A2, b[1] * eye + b[3] * A2, b[0] * eye + b[2] * A2
-    for j in range(4, len(b), 2):
-        power = power @ A2
-        U += b[j + 1] * power
-        V += b[j] * power
-    U = A @ U
-    R = np.linalg.solve(V - U, V + U)
+    # frexp's s has norm / theta_25 < 2**s, rounding included; scaling by 2**-s is exact.
+    s = math.frexp(norm / _TAYLOR[25])[1] if norm > _TAYLOR[25] else 0
+    if s:
+        A, norm = A * 0.5**s, norm * 0.5**s
+    m = next((m for m, theta in _TAYLOR.items() if norm <= theta), 25)
+    k, n, c = math.isqrt(m), A.shape[0], _INVERSE_FACTORIALS
+    powers = np.empty((k, n, n), dtype=A.dtype)
+    powers[0], powers[1] = np.eye(n), A
+    for j in range(2, k):
+        np.matmul(powers[j - 1], A, out=powers[j])
+    P = powers[-1] @ A
+    Q = (c[:m].reshape(k, k).astype(A.dtype) @ powers.reshape(k, -1)).reshape(k, n, n)
+    del powers
+    T = Q[-1] + c[m] * P
+    for i in range(k - 2, -1, -1):
+        T = P @ T + Q[i]
     for _ in range(s):
-        R = R @ R
-    return R
+        T = T @ T
+    return T
 
 
 def _propagate(B, U0, times) -> np.ndarray:
     """||exp(t B) U0|| at the equally spaced ``times``; see :func:`simulate`.
 
-    One step E = exp(dt B) fills the samples by binary powering: with E^k
-    from repeated squaring, states k to 2k - 1 are E^k times states 0 to
-    k - 1.  The states are rows, so each step is one matrix product.  A real
-    B runs in real arithmetic, the start's real and imaginary parts as two
-    rows per sample.
+    One step E = exp(dt B) fills a block of b samples by binary powering:
+    with E^k from repeated squaring, states k to 2k - 1 are E^k times states
+    0 to k - 1; E^b carries the block to the next b samples.  b is the
+    largest power of two whose states fit in 2**17 bytes (glibc's default
+    mmap threshold), or all samples if fewer.  The states are rows, so each
+    step is one matrix product; a real B runs in real arithmetic, with the
+    start's real and imaginary parts as two rows per sample.
     """
     m, n = B.shape[0], times.size
     if not m:
         return np.zeros(n)
     dt = float(times[1] - times[0])
-    step_norm = dt * float(np.abs(B).sum(axis=0).max())
-    # Checked before dt B is formed: its 1-norm would overflow in numpy, with a warning.
-    if not step_norm < math.inf:
-        raise ParameterOutOfRange(f"||dt B||_1 overflows at the step dt = {dt!r}; lower t_end or add samples")
+    b = min(1 << max((2**17 // (16 * m)).bit_length() - 1, 0), n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused once, below
-        # Before the states are allocated: with them, the exponential's
-        # temporaries raised the peak from 1.9 to 2.9 MB on the N = 3 grid.
         power = _expm(dt * B).T  # transposed, as rows multiply it
         if np.isrealobj(B):
-            states = np.empty((2 * n, m))
-            states[0], states[1], width = U0.real, U0.imag, 2
+            block = np.empty((2 * b, m))
+            block[0], block[1], width = U0.real, U0.imag, 2
         else:
-            states = np.empty((n, m), dtype=complex)
-            states[0], width = U0, 1
+            block = np.empty((b, m), dtype=complex)
+            block[0], width = U0, 1
         k = 1
-        while k < n:
-            if k > 1:
-                power = power @ power
-            j = min(k, n - k)
-            np.matmul(states[: width * j], power, out=states[width * k : width * (k + j)])
+        while k < b:
+            j = min(k, b - k)
+            np.matmul(block[: width * j], power, out=block[width * k : width * (k + j)])
             k *= 2
-        # np.linalg.norm(rows, axis=1), bit for bit, with the squares written
-        # over the states: norm's states-sized temporaries lift the heap past
-        # glibc's trim threshold, so every call would hand it back to the
-        # kernel and fault it in again (about 800 page faults per N = 3 audit).
-        rows = states.reshape(n, width * m)
-        np.multiply(rows.conj(), rows, out=rows)
-        norms = np.sqrt(np.add.reduce(rows.real, axis=1))
+            if k < n:
+                power = power @ power  # E^k, which is E^b once k = b
+        norms = np.empty(n)
+        for start in range(0, n, b):
+            if start:
+                block = block[: width * (n - start)] @ power
+            norms[start : start + b] = np.linalg.norm(block.reshape(-1, width * m), axis=1)
     if not np.isfinite(norms).all():
+        step_norm = dt * float(np.abs(B).sum(axis=0).max())
         raise ParameterOutOfRange(f"the trajectory overflows at ||dt B||_1 = {step_norm:.6g}")
     return norms
 

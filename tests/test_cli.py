@@ -303,8 +303,8 @@ def test_simulate_too_short_to_fit_writes_a_null_rate(scalar_problem, tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_refuses_a_step_that_overflows(scalar_problem, tmp_path, capsys):
-    # dt = 1e308 times ||B||_1 = 2 overflows: refused before dt B is formed,
-    # where the Pade scaling met an infinite norm and no JSON line was written.
+    # dt = 1e308 times ||B||_1 = 2 overflows: the exponential of the step is
+    # not finite, and the trajectory is refused with one JSON line.
     out = tmp_path / "s.json"
     argv = ["simulate", scalar_problem, "--t-end", "1e308", "--samples", "2", "-o", str(out)]
     assert main(argv) == 1
@@ -327,6 +327,27 @@ def test_certify_of_a_huge_coupling_ends_in_one_typed_line(tmp_path, capsys):
     error = json.loads(lines[0])
     assert error["error"] == "ParameterOutOfRange"
     assert error["detail"].startswith("the trajectory overflows")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [
+    ["certify"], ["simulate", "--t-end", "20", "--samples", "801"], ["reduce", "--z", "0.5,1.0"]])
+@pytest.mark.parametrize("alpha, C, detail", [
+    # Finite entries, but ||C|| = 2.4e308: the SVD's largest singular value is inf.
+    (1.0, [[1.7e308, 1.7e308]], "the largest singular value of C overflows"),
+    # alpha = 0.5 scales C by sqrt(2) in normalization, past the float range.
+    (0.5, [[1.7e308, 1.0]], "the normalized damping or coupling"),
+])
+def test_a_coupling_whose_norm_overflows_ends_in_one_typed_line(tmp_path, capsys, command, alpha, C, detail):
+    problem, out = str(tmp_path / "p.json"), tmp_path / "r.json"
+    cli.dump_problem(sc.validate_system(alpha * np.eye(2), [[1.0]], np.eye(2), C), problem)
+    assert main([*command, problem, "-o", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ParameterOutOfRange"
+    assert error["detail"].startswith(detail)
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -542,24 +543,33 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_norms_are_those_of_linalg_norm(self, dtype, monkeypatch):
-        # The squares overwrite the states; the norms must be
-        # np.linalg.norm's of the final states bit for bit.
+        # The states live one block at a time: at m = 40 a block holds 128
+        # samples, so 301 samples take three blocks.  Every norm must be
+        # np.linalg.norm's of its state row bit for bit, and the rows the
+        # norms are taken of must be the states.
         rng = np.random.default_rng(66)
-        B = rng.standard_normal((7, 7)) - 2.0 * np.eye(7)
+        B = rng.standard_normal((40, 40)) - 8.0 * np.eye(40)
         if dtype is complex:
-            B = B + 1j * rng.standard_normal((7, 7))
-        U0 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        snapshots = []
-        matmul = np.matmul
+            B = B + 1j * rng.standard_normal((40, 40))
+        U0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        blocks = []
+        norm = np.linalg.norm
 
-        def recording_matmul(a, b, out):
-            matmul(a, b, out=out)
-            snapshots.append(out.base.copy())  # every state filled so far
+        def recording_norm(x, *args, **kwargs):
+            blocks.append(np.array(x))
+            return norm(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "matmul", recording_matmul)
-        trace = sc.simulate(B, U0, 3.0, 101)
-        expected = np.linalg.norm(snapshots[-1].reshape(101, -1), axis=1)
-        assert np.array_equal(trace.state_norms, expected)
+        monkeypatch.setattr(np.linalg, "norm", recording_norm)
+        trace = sc.simulate(B, U0, 3.0, 301)
+        monkeypatch.undo()
+        assert [len(block) for block in blocks] == [128, 128, 45]
+        states = np.concatenate(blocks)
+        assert np.array_equal(trace.state_norms, np.linalg.norm(states, axis=1))
+        if dtype is float:  # real and imaginary parts side by side
+            states = states[:, :40] + 1j * states[:, 40:]
+        for k in (0, 1, 127, 128, 300):
+            expected = scipy.linalg.expm(trace.times[k] * B) @ U0
+            assert np.abs(states[k] - expected).max() <= 1e-13 * np.abs(U0).max(), k
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_trajectory_that_overflows_is_refused(self):
@@ -589,7 +599,7 @@ class TestExpm:
                     A += 1j * rng.standard_normal((n, n))
                 A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
                 A *= norm / np.abs(A).sum(axis=0).max()
-                squarings.add(max(0, math.ceil(math.log2(norm / verify._PADE[9][1]))))
+                squarings.add(max(0, math.ceil(math.log2(norm / verify._TAYLOR[25]))))
                 E, ref = verify._expm(A), scipy.linalg.expm(A)
                 assert E.dtype == ref.dtype
                 assert np.abs(E - ref).max() <= 1e-13 * max(norm, 1.0) * np.abs(ref).max(), (n, norm)
@@ -598,12 +608,12 @@ class TestExpm:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_each_degree_at_its_theta(self, dtype):
         # Just below theta_m the degree-m approximant runs unscaled; just
-        # above, the next degree takes over.  Above theta_9 the matrix is
-        # scaled by 2**-s until ||A||_1 <= theta_9: just below and just above
-        # each theta_9 * 2**k, s must still meet it.
+        # above, the next degree takes over.  Above theta_25 the matrix is
+        # scaled by 2**-s until ||A||_1 <= theta_25: just below and just above
+        # each theta_25 * 2**k, s must still meet it.
         rng = np.random.default_rng(31)
-        thetas = [theta for _, theta in verify._PADE.values()]
-        thetas += [verify._PADE[9][1] * 2**k for k in range(1, 7)]
+        thetas = list(verify._TAYLOR.values())
+        thetas += [verify._TAYLOR[25] * 2**k for k in range(1, 7)]
         for theta in thetas:
             for norm in (theta * (1 - 1e-6), theta * (1 + 1e-6)):
                 for n in (1, 3, 12):
@@ -614,6 +624,39 @@ class TestExpm:
                     E, ref = verify._expm(A), scipy.linalg.expm(A)
                     assert E.dtype == ref.dtype
                     assert np.abs(E - ref).max() <= 1e-13 * max(norm, 1.0) * np.abs(ref).max(), (theta, norm, n)
+
+    @pytest.mark.parametrize("m", [4, 9, 16, 25])
+    def test_each_theta_is_the_taylor_backward_error_bound(self, m):
+        # theta_m is the largest theta with sum_(k > m) |c_k| theta^(k - 1)
+        # <= 2**-53, where h(x) = log(exp(-x) T_m(x)) = sum_k c_k x^k
+        # (Al-Mohy and Higham 2011, Section 3).  Recomputed at 50 digits
+        # from the first 150 terms of h, which agree with 250 terms to 20
+        # digits; the table must not exceed it, nor fall short by more than
+        # rounding to 16 digits would.
+        import mpmath
+
+        with mpmath.workdps(50):
+            size = m + 150
+            exact = [  # exp(-x) T_m(x), a product of series
+                sum(Fraction((-1) ** (k - j), math.factorial(j) * math.factorial(k - j))
+                    for j in range(min(k, m) + 1))
+                for k in range(size + 1)
+            ]
+            f = [mpmath.mpf(q.numerator) / q.denominator for q in exact]
+            c = [mpmath.mpf(0)] * (size + 1)  # h = log f, from f h' = f' with f_0 = 1
+            for k in range(1, size + 1):
+                c[k] = f[k] - mpmath.fsum(j * c[j] * f[k - j] for j in range(1, k)) / k
+            assert f[0] == 1 and all(c[k] == 0 for k in range(1, m + 1))
+            # sum_(k > m) |c_k| theta^(k - 1), highest power first, for polyval
+            series = [abs(c[k]) for k in range(size, m, -1)]
+            bound = lambda theta: mpmath.polyval(series, theta) * theta**m
+            lo, hi = mpmath.mpf(0), mpmath.mpf(m)
+            for _ in range(110):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if bound(mid) <= mpmath.mpf(2) ** -53 else (lo, mid)
+            theta = verify._TAYLOR[m]
+            assert mpmath.mpf(theta) <= lo
+            assert hi - mpmath.mpf(theta) <= 1e-9 * hi
 
     def test_jordan_block(self):
         J = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -631,7 +674,7 @@ class TestRestrictedSimulate:
     def test_powering_matches_scipy_expm(self):
         # The samples come from one exp(dt B_res) raised to the k-th power by
         # squaring; scipy's expm at t_k = k dt is the reference, on certify's
-        # start and time range.  Measured: 1e-15 on the grids, 7e-14 on the
+        # start and time range.  Measured: 6e-16 on the grids, 4e-14 on the
         # corpus, relative to the largest norm.
         count = 0
         for name, system in _claim_systems():
@@ -647,6 +690,25 @@ class TestRestrictedSimulate:
                 assert abs(trace.state_norms[k] - ref) <= 1e-12 * trace.state_norms.max(), (name, k)
             count += 1
         assert count == 3 + 134
+
+    def test_memory_does_not_grow_with_the_samples(self):
+        # One block of states lives at a time, so ten times the samples may
+        # raise restricted_simulate's peak by at most 256 KiB on the N = 3
+        # grid; holding every state would add about 17 MB.
+        prep = prepare(sc.build_maxwell_system(sc.GridSpec(N=3)))
+        ns, frames, B_res = prep.normalized, prep.frames, prep.B_res
+        U0, _ = admissible_start(ns, frames, *random_components(0, ns.n0, ns.n1))
+        t_end = 30.0 / max(-sc.spectral_abscissa(B_res), 1.5)
+        peaks = []
+        for samples in (801, 8001):
+            tracemalloc.start()
+            try:
+                verify.restricted_simulate(B_res, frames, U0, t_end, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.2e6
+        assert peaks[1] - peaks[0] <= 256 * 1024, peaks
 
     def test_certify_trajectory_matches_the_full_generator(self):
         # simulate on the full generator G is the reference.  Near the
