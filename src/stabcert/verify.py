@@ -540,8 +540,13 @@ def _trajectory_input(U0, n: int, t_end: float, samples: int) -> tuple[np.ndarra
 
 # The largest ||A||_1 at which the degree-m Taylor polynomial of exp has a
 # backward error below 2**-53 (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
-# 2011, Table 3.1), recomputed to 16 digits and rounded down; and 1/j!.
-_TAYLOR = {4: 3.397168839976961e-4, 9: 8.957760203223342e-2, 16: 7.802874256626574e-1, 25: 2.428582524442826}
+# 2011, Table 3.1), recomputed to 16 digits and rounded down.
+_TAYLOR = {
+    4: 3.397168839976961e-4,
+    9: 8.957760203223342e-2,
+    16: 7.802874256626574e-1,
+    25: 2.428582524442826,
+}
 _INVERSE_FACTORIALS = np.array([1 / math.factorial(j) for j in range(26)])
 
 
@@ -550,11 +555,12 @@ def _expm(A) -> np.ndarray:
 
     The smallest degree m in (4, 9, 16, 25) with ||A||_1 <= theta_m gives
     T_m(A) = sum_(j <= m) A^j / j! by Paterson and Stockmeyer's scheme: with
-    k = sqrt(m) and P = A^k, T_m(A) = Q_0 + P (Q_1 + ... + P Q_(k-1)), each
-    Q_i a sum of A^0 to A^(k-1) (Q_(k-1) also of P), in 2 k - 2 products.
-    Above theta_25, A is scaled by 2**-s so that ||A||_1 <= theta_25, and
-    T_m is squared s times.  Unlike an eigendecomposition, it is accurate
-    however ill-conditioned the eigenvectors of A are.
+    k = sqrt(m) and P = A^k, T_m(A) = Q_0 + P (Q_1 + ... + P Q_(k-1)), where
+    Q_i = sum_(j < k) A^j / (i k + j)! and Q_(k-1) also holds P / m!; that is
+    2 k - 2 products and no solve.  Above theta_25, A is scaled by 2**-s so
+    that ||A||_1 <= theta_25, and T_m is squared s times.  Unlike an
+    eigendecomposition, it is accurate however ill-conditioned the
+    eigenvectors of A are.
     """
     A = np.asarray(A)
     if not A.size:
@@ -562,18 +568,21 @@ def _expm(A) -> np.ndarray:
     norm = float(np.abs(A).sum(axis=0).max())
     # frexp's s has norm / theta_25 < 2**s, rounding included; scaling by 2**-s is exact.
     s = math.frexp(norm / _TAYLOR[25])[1] if norm > _TAYLOR[25] else 0
-    if s:
-        A, norm = A * 0.5**s, norm * 0.5**s
+    A, norm = A * 0.5**s, norm * 0.5**s
     m = next((m for m, theta in _TAYLOR.items() if norm <= theta), 25)
-    k, n, c = math.isqrt(m), A.shape[0], _INVERSE_FACTORIALS
-    powers = np.empty((k, n, n), dtype=A.dtype)
+    k, n = math.isqrt(m), A.shape[0]
+    powers = np.empty((k, n, n), dtype=A.dtype)  # A^0 to A^(k-1)
     powers[0], powers[1] = np.eye(n), A
     for j in range(2, k):
         np.matmul(powers[j - 1], A, out=powers[j])
     P = powers[-1] @ A
-    Q = (c[:m].reshape(k, k).astype(A.dtype) @ powers.reshape(k, -1)).reshape(k, n, n)
+    # Every Q_i at once: row i of the k x k table of 1/j! times the powers.
+    Q = (_INVERSE_FACTORIALS[:m].reshape(k, k) @ powers.reshape(k, n * n)).reshape(k, n, n)
+    # Freed before the products reuse its space: held to the return, it
+    # left the heap fragmented enough that glibc trimmed it after every
+    # serial N = 3 certify, which then took about 800 page faults, not 1.
     del powers
-    T = Q[-1] + c[m] * P
+    T = Q[-1] + _INVERSE_FACTORIALS[m] * P
     for i in range(k - 2, -1, -1):
         T = P @ T + Q[i]
     for _ in range(s):
@@ -584,41 +593,45 @@ def _expm(A) -> np.ndarray:
 def _propagate(B, U0, times) -> np.ndarray:
     """||exp(t B) U0|| at the equally spaced ``times``; see :func:`simulate`.
 
-    One step E = exp(dt B) fills a block of b samples by binary powering:
-    with E^k from repeated squaring, states k to 2k - 1 are E^k times states
-    0 to k - 1; E^b carries the block to the next b samples.  b is the
-    largest power of two whose states fit in 2**17 bytes (glibc's default
-    mmap threshold), or all samples if fewer.  The states are rows, so each
-    step is one matrix product; a real B runs in real arithmetic, with the
-    start's real and imaginary parts as two rows per sample.
+    One step E = exp(dt B) fills the samples by binary powering: with E^k
+    from repeated squaring, states k to 2k - 1 are E^k times states 0 to
+    k - 1.  The states are rows, so each step is one matrix product.  A real
+    B runs in real arithmetic, the start's real and imaginary parts as two
+    rows per sample.
     """
     m, n = B.shape[0], times.size
     if not m:
         return np.zeros(n)
     dt = float(times[1] - times[0])
-    b = min(1 << max((2**17 // (16 * m)).bit_length() - 1, 0), n)
+    step_norm = dt * float(np.abs(B).sum(axis=0).max())
+    # Checked before dt B is formed: its 1-norm would overflow in numpy, with a warning.
+    if not step_norm < math.inf:
+        raise ParameterOutOfRange(f"||dt B||_1 overflows at the step dt = {dt!r}; lower t_end or add samples")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused once, below
+        # Before the states are allocated: with them, the exponential's
+        # temporaries raised the peak from 1.9 to 2.9 MB on the N = 3 grid.
         power = _expm(dt * B).T  # transposed, as rows multiply it
         if np.isrealobj(B):
-            block = np.empty((2 * b, m))
-            block[0], block[1], width = U0.real, U0.imag, 2
+            states = np.empty((2 * n, m))
+            states[0], states[1], width = U0.real, U0.imag, 2
         else:
-            block = np.empty((b, m), dtype=complex)
-            block[0], width = U0, 1
+            states = np.empty((n, m), dtype=complex)
+            states[0], width = U0, 1
         k = 1
-        while k < b:
-            j = min(k, b - k)
-            np.matmul(block[: width * j], power, out=block[width * k : width * (k + j)])
+        while k < n:
+            if k > 1:
+                power = power @ power
+            j = min(k, n - k)
+            np.matmul(states[: width * j], power, out=states[width * k : width * (k + j)])
             k *= 2
-            if k < n:
-                power = power @ power  # E^k, which is E^b once k = b
-        norms = np.empty(n)
-        for start in range(0, n, b):
-            if start:
-                block = block[: width * (n - start)] @ power
-            norms[start : start + b] = np.linalg.norm(block.reshape(-1, width * m), axis=1)
+        # np.linalg.norm(rows, axis=1), bit for bit, with the squares written
+        # over the states: norm's states-sized temporaries lift the heap past
+        # glibc's trim threshold, so every call would hand it back to the
+        # kernel and fault it in again (about 800 page faults per N = 3 audit).
+        rows = states.reshape(n, width * m)
+        np.multiply(rows.conj(), rows, out=rows)
+        norms = np.sqrt(np.add.reduce(rows.real, axis=1))
     if not np.isfinite(norms).all():
-        step_norm = dt * float(np.abs(B).sum(axis=0).max())
         raise ParameterOutOfRange(f"the trajectory overflows at ||dt B||_1 = {step_norm:.6g}")
     return norms
 

@@ -303,8 +303,8 @@ def test_simulate_too_short_to_fit_writes_a_null_rate(scalar_problem, tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_refuses_a_step_that_overflows(scalar_problem, tmp_path, capsys):
-    # dt = 1e308 times ||B||_1 = 2 overflows: the exponential of the step is
-    # not finite, and the trajectory is refused with one JSON line.
+    # dt = 1e308 times ||B||_1 = 2 overflows: refused before dt B is formed,
+    # where the exponential's scaling would meet an infinite norm.
     out = tmp_path / "s.json"
     argv = ["simulate", scalar_problem, "--t-end", "1e308", "--samples", "2", "-o", str(out)]
     assert main(argv) == 1
@@ -1030,23 +1030,50 @@ def test_overlapped_cover_calls_nothing_the_tracer_wraps(grid_problem, tmp_path,
     assert threading.current_thread() not in eigvals_threads
 
 
+def _warm_certify_faults(problem, report, cpus):
+    """Minor page faults of each of 10 warm certify calls on ``cpus`` CPUs.
+
+    Measured in a fresh process: glibc raises its mmap and trim thresholds
+    after what the process freed before, so a process that other tests ran
+    in can hide a heap that is trimmed and faulted back in on every call.
+    """
+    code = (
+        "import resource, stabcert\n"
+        "from stabcert import cli\n"
+        f"stabcert.certificate.usable_cpus = lambda: {cpus}\n"
+        f"argv = ['certify', {problem!r}, '-o', {str(report)!r}]\n"
+        "faults = []\n"
+        "for _ in range(13):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert cli.main(argv) == 0\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(faults[3:])\n"
+    )
+    src = str(Path(sc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux") or _openblas_threads() is None,
                     reason="needs Linux page-fault counts and numpy's OpenBLAS")
-def test_overlapped_certify_does_not_fault_its_heap_back_in(grid_problem, tmp_path, monkeypatch):
+def test_overlapped_certify_does_not_fault_its_heap_back_in(grid_problem, tmp_path):
     # With the trajectory's 1.7 MB of states on the worker thread, the
     # calling thread's heap stays under glibc's trim threshold, so a warm
     # certify no longer hands pages back to the kernel and faults them in
     # again (about 900 minor faults per call when the trajectory ran after
-    # the join; about 5 since).
-    import resource
+    # the join; about 5 since).  Without the state array, whose free keeps
+    # the thresholds up, it took about 800.
+    faults = _warm_certify_faults(grid_problem, tmp_path / "r.json", cpus=2)
+    assert statistics.median(faults) < 100, faults
 
-    monkeypatch.setattr(sc.certificate, "usable_cpus", lambda: 2)
-    argv = ["certify", grid_problem, "-o", str(tmp_path / "r.json")]
-    for _ in range(3):
-        assert main(argv) == 0
-    faults = []
-    for _ in range(10):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert main(argv) == 0
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux page-fault counts")
+def test_serial_certify_does_not_fault_its_heap_back_in(grid_problem, tmp_path):
+    # On one CPU the trajectory runs on the calling thread after the cover.
+    # A warm call takes about 1 minor fault; with the exponential's
+    # temporaries held until it returned, glibc trimmed the heap after every
+    # call and the next one took about 800.
+    faults = _warm_certify_faults(grid_problem, tmp_path / "r.json", cpus=1)
     assert statistics.median(faults) < 100, faults
