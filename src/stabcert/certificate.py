@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -524,11 +524,13 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
 
     Every dense kernel runs on one BLAS thread (:func:`single_blas_thread`).
     For a generator of at least _OVERLAP_MIN_DIM rows on more than one CPU,
-    a worker thread started after :func:`prepare` takes the abscissa, from an
-    eigensolve run without the interpreter lock, waits for the start this
-    thread hands it, and runs the trajectory while this thread runs the
-    cover and the defects; the fit follows the join.  Otherwise every step
-    runs on this thread, in the order above.  Only this thread calls the
+    the process's one oracle thread, started on the first such call and
+    kept, takes two tasks in order: the abscissa, from an eigensolve run
+    without the interpreter lock, submitted after :func:`prepare`, and the
+    trajectory, submitted once this thread has drawn the start.  This thread
+    meanwhile runs the cover and the defects, and waits for both tasks
+    before it fits the rate or lets an error out.  Otherwise every step runs
+    on this thread, in the order above.  Only this thread calls the
     functions the benchmark's tracer wraps.  Results, and the error raised
     when a step fails, are those of the serial order: an error of this
     thread wins.
@@ -537,22 +539,21 @@ def audit_system(sys: BlockSystem, *, seed: int = 0) -> SystemAudit:
         prep = prepare(sys)
         ns, frames, B_res = prep.normalized, prep.frames, prep.B_res
         overlap = pinned and B_res.shape[0] >= _OVERLAP_MIN_DIM and usable_cpus() > 1
-        worker = _Worker(_trajectory, B_res, frames, _eigvals_abscissa) if overlap else None
+        worker = _oracle_worker(os.getpid()) if overlap else None
+        tasks = [worker.submit(_eigvals_abscissa, B_res)] if worker else []
         try:
             cert = full_certificate(prep)
             u0, v_raw = random_components(seed, ns.n0, ns.n1)
             U0, residual = admissible_start(ns, frames, u0, v_raw)
-            if worker:
-                worker.hand(U0)
+            if worker:  # run after the abscissa, which the trajectory reads
+                tasks.append(worker.submit(lambda: _trajectory(B_res, frames, tasks[0].result(), U0)))
             cover = resolvent_cover(B_res, cert.delta_cert / 2.0, cert.M_total * (1.0 + 1e-6))
             defects = restriction_defects(ns.gamma_tilde, ns.D, frames, B_res)
         finally:
-            if worker:
-                worker.hand(None)  # releases a worker still waiting for the start
-                worker.join()
-        abscissa, trace = (
-            worker.result() if worker else _trajectory(B_res, frames, spectral_abscissa, lambda: U0)
-        )
+            for task in tasks:
+                task.exception()  # waits: no oracle runs once this call is left
+        abscissa = tasks[0].result() if worker else spectral_abscissa(B_res)
+        trace = tasks[1].result() if worker else _trajectory(B_res, frames, abscissa, U0)
         fitted = fit_decay_rate(trace)
 
     norms = trace.state_norms
@@ -588,16 +589,18 @@ _RESTRICTION_TOL = 1e-10
 
 
 # Smallest restricted generator for which audit_system runs the abscissa's
-# eigensolve and the trajectory on a worker thread.  Small kernels take
+# eigensolve and the trajectory on the oracle thread.  Small kernels take
 # microseconds, and the two threads then mostly hand the interpreter lock back
-# and forth: the benchmark corpus (m <= 12) stays serial.  Medians of 40
+# and forth: the benchmark corpus (m <= 12) stays serial.  Medians of
 # interleaved pairs on 2 cores, serial against overlapped, on random systems
-# of tests/helpers.py with n0 = n1 = rank = m/2: in real arithmetic, as on the
-# grids, 1.9 against 2.7 ms at m = 16 (overlap faster in 0 pairs), 3.1 against
-# 3.7 ms at m = 32 (0), 5.9 against 6.0 ms at m = 48 (10) and 8.2 against
-# 7.6 ms at m = 64 (38).  Complex systems, whose kernels cost more, gain from
-# m = 32 on (9.9 against 9.4 ms, 31 pairs), real ones only above 48.  On the
-# N = 3 grids (m = 133): 15.8 against 10.5 ms (unit) and 18.1 against 12.0 ms
+# of tests/helpers.py with n0 = n1 = rank = m/2, in real arithmetic as on the
+# grids.  With the kept worker, two runs of 150 pairs: 6.4-8.9 against
+# 7.2-9.4 ms at m = 48 (overlap faster in 9-24 pairs) and 9.8-11.1 against
+# 9.1-10.1 ms at m = 64 (121-123).  With a thread started per call, 40 pairs:
+# 1.9 against 2.7 ms at m = 16 (0 pairs), 3.1 against 3.7 ms at m = 32 (0).
+# Complex systems, whose kernels cost more, gained from m = 32 on (9.9
+# against 9.4 ms, 31 pairs), real ones only above 48.  On the N = 3 grids
+# (m = 133): 15.8 against 10.5 ms (unit) and 18.1 against 12.0 ms
 # (per-cell), 40 pairs each.  At m = 133, measured as the progress a
 # pure-Python loop keeps beside a thread that runs the kernel, numpy 2.4 holds
 # the lock in eigvals (hence the padded stack of _unlocked_eigvals), eigvalsh,
@@ -614,58 +617,26 @@ def _eigvals_abscissa(B_res) -> float:
     return float(_unlocked_eigvals(B_res).real.max())
 
 
-def _trajectory(B_res, frames: HelmholtzFrames, abscissa_of, take_start):
-    """``(abscissa, trace)``: the abscissa, then the trajectory of ``take_start()``.
-
-    Returns None when ``take_start()`` gives None: the calling thread failed
-    before it drew the start, and its error is the one raised.
-    """
-    abscissa = abscissa_of(B_res)
-    U0 = take_start()
-    if U0 is None:
-        return None
+def _trajectory(B_res, frames: HelmholtzFrames, abscissa: float, U0) -> TrajectoryTrace:
+    """The 801-sample trajectory of ``U0``, whose length ``abscissa`` sets."""
     # The rounding-level part of U0 in ker(D*) never decays; end the run
     # while the decaying part, near exp(-30), is still far above it, and
     # at t = 20 at the latest.
     t_end = 30.0 / max(-abscissa, 1.5)
-    return abscissa, restricted_simulate(B_res, frames, U0, t_end, 801)
+    return restricted_simulate(B_res, frames, U0, t_end, 801)
 
 
-class _Worker(threading.Thread):
-    """Runs ``fn(*args, take)`` at once; :meth:`result` joins and returns or raises.
+@functools.cache
+def _oracle_worker(pid: int):
+    """The oracle thread of process ``pid``, started on its first task and kept.
 
-    ``take()`` waits until the calling thread has :meth:`hand`-ed a value
-    over and returns it.
+    Keyed on the pid: a child forked after a parent's overlapped call
+    inherits the parent's executor but not its thread, and a task queued
+    there would never run.
     """
+    # Imported here: concurrent.futures loads logging, about 7 ms that an
+    # import of stabcert, problems below _OVERLAP_MIN_DIM and one-CPU runs
+    # would pay for a thread they never start.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, fn, *args) -> None:
-        # A daemon: after an interrupted join the process can still exit.
-        super().__init__(name=f"stabcert-{fn.__name__}", daemon=True)
-        self._call = functools.partial(fn, *args, self._take)
-        self._value = self._error = self._handed = None
-        self._ready = threading.Event()
-        self.start()
-
-    def hand(self, value) -> None:
-        """Give ``take()`` its value; only the first call counts."""
-        if not self._ready.is_set():
-            self._handed = value
-            self._ready.set()
-
-    def _take(self):
-        self._ready.wait()
-        return self._handed
-
-    def run(self) -> None:
-        try:
-            self._value = self._call()
-        except BaseException as exc:  # handed to the joining thread
-            self._error = exc
-        finally:
-            del self._call  # it holds self._take: a reference cycle
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="stabcert-oracle")

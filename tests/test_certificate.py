@@ -1,8 +1,12 @@
 import dataclasses
 import gc
 import math
+import multiprocessing
+import os
 import threading
 import time
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -620,8 +624,26 @@ class TestPrepare:
         assert all(audit.checks.values())
 
 
+def _threads_left():
+    """``(other threads, stabcert threads, OpenBLAS thread count)`` of the process now."""
+    blas = _openblas_threads()
+    kept = [t for t in threading.enumerate() if t.name.startswith("stabcert")]
+    return threading.active_count() - len(kept), kept, blas and blas[0]()
+
+
+def _assert_only_the_kept_worker(before, after):
+    """Each call left at most one stabcert thread, always the same, and no other.
+
+    ``before`` and every entry of ``after`` are :func:`_threads_left` results;
+    the BLAS thread count is restored after every call.
+    """
+    assert all(len(kept) <= 1 for _, kept, _ in [before, *after])
+    assert len({t for _, kept, _ in [before, *after] for t in kept}) <= 1
+    assert [(others, blas) for others, _, blas in after] == [(before[0], before[2])] * len(after)
+
+
 class TestOverlappedCover:
-    """audit_system's eigensolve on a worker thread: same results and errors, no leaks."""
+    """audit_system's oracles on the kept worker thread: same results and errors, no leaks."""
 
     @pytest.fixture()
     def overlap(self, monkeypatch):
@@ -684,16 +706,17 @@ class TestOverlappedCover:
         overlap.setattr(certificate, "resolvent_cover", slow_cover)
         if where == "fit_decay_rate":
             overlap.setattr(certificate, "fit_decay_rate", fail_fit)
-        blas = _openblas_threads()
-        before = (threading.active_count(), blas and blas[0]())
-        with pytest.raises(CertificateFailure, match=f"{where} failed"):
-            sc.audit_system(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]]))
-        assert (threading.active_count(), blas and blas[0]()) == before
+        before, after = _threads_left(), []
+        for _ in range(2):
+            with pytest.raises(CertificateFailure, match=f"{where} failed"):
+                sc.audit_system(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]]))
+            after.append(_threads_left())
+        _assert_only_the_kept_worker(before, after)
 
     def test_a_certificate_error_releases_the_waiting_worker(self, overlap):
-        # full_certificate fails before the start is handed over: the worker
-        # takes the abscissa, is released with no start and returns without
-        # simulating, and the certificate's error is raised, on both paths.
+        # full_certificate fails before the start is drawn: the worker takes
+        # the abscissa, no trajectory is submitted, and the certificate's
+        # error is raised once the abscissa is done, on both paths.
         ran = []
 
         def fail_certificate(prep):
@@ -712,20 +735,20 @@ class TestOverlappedCover:
         overlap.setattr(certificate, "_unlocked_eigvals", eigvals)
         overlap.setattr(certificate, "restricted_simulate", simulate)
         s = sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        blas = _openblas_threads()
-        before = (threading.active_count(), blas and blas[0]())
-        for min_dim in (0, 10**9):  # overlapped where the BLAS pin holds, then serial
+        before, after = _threads_left(), []
+        for min_dim in (0, 0, 10**9):  # overlapped where the BLAS pin holds, then serial
             overlap.setattr(certificate, "_OVERLAP_MIN_DIM", min_dim)
             ran.clear()
             with pytest.raises(CertificateFailure, match="full_certificate failed"):
                 sc.audit_system(s)
-            assert (threading.active_count(), blas and blas[0]()) == before
-            overlapped = min_dim == 0 and blas is not None
+            after.append(_threads_left())
+            overlapped = min_dim == 0 and _openblas_threads() is not None
             assert sorted(ran) == ["eigensolve"] * overlapped + ["full_certificate"]
+        _assert_only_the_kept_worker(before, after)
 
     def test_the_worker_leaves_no_reference_cycle(self, overlap):
-        # A worker kept alive by a cycle would hold B_res, the frames and
-        # the trajectory until the cyclic collector ran: about 2 MB more
+        # A task or future kept alive by a cycle would hold B_res, the frames
+        # and the trajectory until the cyclic collector ran: about 2 MB more
         # heap in use on the N = 3 grid, resident because it is fragmented.
         s = sc.build_maxwell_system(sc.GridSpec(N=3))
         gc.collect()
@@ -741,9 +764,9 @@ class TestOverlappedCover:
         # The eigensolve sleeps, so a calling-thread step fails while it is
         # still running.  In the serial order the restriction defects come
         # before the abscissa, so their error is the one raised when both
-        # fail, whichever path the CPU count picks.  The start is handed to
-        # the worker before the cover, so there a worker whose eigensolve
-        # succeeds goes on to simulate before it is joined.
+        # fail, whichever path the CPU count picks.  The trajectory is
+        # submitted before the cover, so there a worker whose eigensolve
+        # succeeds goes on to simulate before audit_system returns.
         ran = []
 
         def slow_eigvals(B):
@@ -775,20 +798,65 @@ class TestOverlappedCover:
         error, match = ((np.linalg.LinAlgError, "eigensolve") if failing == "eigensolve"
                         else (CertificateFailure, "restriction_defects"))
         s = sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        blas = _openblas_threads()
-        before = (threading.active_count(), blas and blas[0]())
-        for min_dim in (0, 10**9):  # overlapped where the BLAS pin holds, then serial
+        before, after = _threads_left(), []
+        for min_dim in (0, 0, 10**9):  # overlapped where the BLAS pin holds, then serial
             overlap.setattr(certificate, "_OVERLAP_MIN_DIM", min_dim)
             ran.clear()
             with pytest.raises(error, match=f"{match} failed"):
                 sc.audit_system(s)
-            assert (threading.active_count(), blas and blas[0]()) == before
-            if min_dim == 0 and blas is not None:
-                # Joined before the error left audit_system.
+            after.append(_threads_left())
+            if min_dim == 0 and _openblas_threads() is not None:
+                # Both tasks were done before the error left audit_system.
                 simulated = ["restricted_simulate"] * (failing == "calling thread")
                 assert ran == ["restriction_defects", "eigensolve"] + simulated
             else:
                 assert "restricted_simulate" not in ran
+        _assert_only_the_kept_worker(before, after)
+
+    def test_one_worker_serves_every_call(self, overlap):
+        s = sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        before, after = _threads_left(), []
+        for _ in range(100):
+            assert all(sc.audit_system(s).checks.values())
+            after.append(_threads_left())
+        _assert_only_the_kept_worker(before, after)
+        assert len(after[-1][1]) == (_openblas_threads() is not None)
+
+    @pytest.mark.skipif(_openblas_threads() is None, reason="the overlap needs the BLAS pin")
+    def test_the_worker_keeps_nothing_from_a_call(self, overlap):
+        received = []
+
+        def simulate(B_res, *args):
+            received.append(weakref.ref(B_res))
+            return verify.restricted_simulate(B_res, *args)
+
+        overlap.setattr(certificate, "restricted_simulate", simulate)
+        audit = sc.audit_system(sc.build_maxwell_system(sc.GridSpec(N=3)))
+        assert len(received) == 1
+        del audit
+        # The trajectory's future is resolved a few bytecodes before the
+        # worker drops its task; a second task is taken only after that.
+        certificate._oracle_worker(os.getpid()).submit(int).result()
+        gc.collect()
+        assert received[0]() is None
+
+    @pytest.mark.skipif(_openblas_threads() is None, reason="the overlap needs the BLAS pin")
+    def test_a_forked_child_starts_its_own_worker(self, overlap):
+        # A child forked after an overlapped call inherits the parent's
+        # executor but not its thread: handed that executor, its audit would
+        # wait forever for tasks no thread takes.
+        s = sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        sc.audit_system(s)
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn when a process with threads forks.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child = multiprocessing.get_context("fork").Process(target=sc.audit_system, args=(s,))
+            child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 _BLOCKS = ("alpha", "beta", "gamma", "C")

@@ -902,19 +902,19 @@ def test_cached_parser_keeps_no_state(scalar_problem, tmp_path):
     assert json.loads(out["five"].read_text())["trajectory"]["seed"] == 5
 
 
-def _load_perfbench_tracing(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_perfbench(monkeypatch, name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_tracer_sees_each_step(scalar_problem, tmp_path, monkeypatch):
     # perfbench/tracing.py wraps functions by module and name; a rename
     # under src/ must fail here rather than in the benchmark's traced run.
-    tracing = _load_perfbench_tracing(monkeypatch)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -992,7 +992,7 @@ def test_certify_report_does_not_depend_on_blas_threads(grid_problem, tmp_path):
 def test_overlapped_cover_calls_nothing_the_tracer_wraps(grid_problem, tmp_path, monkeypatch):
     # perfbench/tracing.py keeps one span stack for the process, so only the
     # calling thread may enter a traced function.
-    tracing = _load_perfbench_tracing(monkeypatch)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     monkeypatch.setattr(sc.certificate, "usable_cpus", lambda: 2)
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and (n == "stabcert" or n.startswith("stabcert."))]
@@ -1056,24 +1056,36 @@ def _warm_certify_faults(problem, report, cpus):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture(params=["unit", "per-cell"])
+def either_grid(request, grid_problem, tmp_path, monkeypatch):
+    """The unit-material N = 3 grid, or the benchmark's maxwell-n3-hetero grid."""
+    if request.param == "unit":
+        return grid_problem
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    [problem] = workloads.maxwell_n3_hetero(workloads.HETERO_MATERIAL_SEED)
+    cli.dump_problem(problem, str(tmp_path / "per-cell.json"))
+    return str(tmp_path / "per-cell.json")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux") or _openblas_threads() is None,
                     reason="needs Linux page-fault counts and numpy's OpenBLAS")
-def test_overlapped_certify_does_not_fault_its_heap_back_in(grid_problem, tmp_path):
-    # With the trajectory's 1.7 MB of states on the worker thread, the
+def test_overlapped_certify_does_not_fault_its_heap_back_in(either_grid, tmp_path):
+    # With the trajectory's 1.7 MB of states on the kept worker thread, the
     # calling thread's heap stays under glibc's trim threshold, so a warm
     # certify no longer hands pages back to the kernel and faults them in
     # again (about 900 minor faults per call when the trajectory ran after
-    # the join; about 5 since).  Without the state array, whose free keeps
-    # the thresholds up, it took about 800.
-    faults = _warm_certify_faults(grid_problem, tmp_path / "r.json", cpus=2)
+    # the join; about 5 with a worker started per call, 0 with one kept).
+    # Without the state array, whose free keeps the thresholds up, it took
+    # about 800.
+    faults = _warm_certify_faults(either_grid, tmp_path / "r.json", cpus=2)
     assert statistics.median(faults) < 100, faults
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux page-fault counts")
-def test_serial_certify_does_not_fault_its_heap_back_in(grid_problem, tmp_path):
+def test_serial_certify_does_not_fault_its_heap_back_in(either_grid, tmp_path):
     # On one CPU the trajectory runs on the calling thread after the cover.
     # A warm call takes about 1 minor fault; with the exponential's
     # temporaries held until it returned, glibc trimmed the heap after every
     # call and the next one took about 800.
-    faults = _warm_certify_faults(grid_problem, tmp_path / "r.json", cpus=1)
+    faults = _warm_certify_faults(either_grid, tmp_path / "r.json", cpus=1)
     assert statistics.median(faults) < 100, faults
