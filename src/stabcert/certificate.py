@@ -134,10 +134,8 @@ class AuditRecord:
 
     ``re_range`` x ``im_range`` bounds the covered disk segment,
     ``grid_shape`` is 1 x (square centres tested in the passing pass), and
-    ``max_resolvent_norm`` is the largest norm bound shown on a covered
-    square, a bound on the segment: M_total itself where the Cholesky test
-    proved every square, smaller where a square fell back to the SVD's
-    enclosure (see :func:`~stabcert.verify._neumann_squares`).  Only a
+    ``max_resolvent_norm`` is the norm bound the cover proved on the segment,
+    M_total itself (see :func:`~stabcert.verify._neumann_squares`).  Only a
     passed cover is recorded: a failed one raises CertificateFailure.
     """
 
@@ -356,9 +354,9 @@ def _small_frequency_audit(
     side 2 im_half with left edge Re z = -delta, and the squares that meet the
     disk are refined as in :func:`~stabcert.verify._neumann_squares`, within
     ``M_total`` and _AUDIT_EVALS evaluations; a cover that does not finish
-    halves delta.  A passed cover shows S free of spectrum with norm at most
-    the largest bound it records, M_total where the Cholesky test decided
-    every square: then the rounding is enclosed and the cover is a proof.
+    halves delta.  Every square is decided by the verified Cholesky test, so
+    a passed cover proves S free of spectrum with norm at most M_total,
+    rounding included.
     """
 
     def meets_disk(kids, side):

@@ -17,11 +17,10 @@ The resolvent oracle of the certificate is :func:`resolvent_cover`, a
 Neumann-series cover of a whole half-plane.  Each of its squares asks
 whether sigma_min(z0 I - B) >= s at the centre z0, and one verified Cholesky
 test answers for a whole stack of centres (:func:`_sigma_min_test`): a
-factorization that completes proves the bound, rounding included.  Where
-the bound is too close to rounding level for the test to decide, the
-square falls back to the dense SVD of :func:`_resolvent_norms`, which also
-gives every resolvent norm of :func:`resolvent_norm` and of
-:func:`gp_sweep`, a sample of one vertical line for diagnostics.
+factorization that completes proves the bound, rounding included, and no
+square is decided any other way.  The dense SVD of :func:`_resolvent_norms`
+gives the resolvent norms of :func:`resolvent_norm` and of :func:`gp_sweep`,
+a sample of one vertical line for diagnostics; the cover never reads it.
 """
 
 from __future__ import annotations
@@ -92,10 +91,9 @@ class CoverReport:
 
     ``re_range`` x ``im_range`` is the rectangle the squares cover, ``h``
     the largest eigenvalue of the Hermitian part of B, ``evaluations`` the
-    square centres evaluated, and ``max_enclosure`` the largest norm bound
-    shown on a covered square (0.0 when no square is covered): ``bound``
-    itself on a square the Cholesky test proved, the SVD's Neumann
-    enclosure on one that fell back to it (see :func:`_neumann_squares`).
+    square centres evaluated, and ``max_enclosure`` the norm bound shown on
+    the covered squares: ``bound`` once a square is covered, 0.0 before
+    (see :func:`_neumann_squares`).
     The rectangle's half-height is ||B|| + 1/bound, so the record depends on
     the operator, not on the frames it is written in, up to rounding.
     """
@@ -164,9 +162,9 @@ def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(norms, singular_mask)``.  A point is singular when
     sigma_min <= 1e-14 sigma_max, which separates genuine spectrum from mere
-    ill-conditioning at dense desk scale; its norm entry is +inf.  The SVDs
-    run in stacks whose size follows from the matrix size.  For a real B a
-    pair of conjugate points costs one SVD.
+    ill-conditioning at dense desk scale, or when 1/sigma_min overflows; its
+    norm entry is +inf.  The SVDs run in stacks whose size follows from the
+    matrix size.  For a real B a pair of conjugate points costs one SVD.
     """
     m = B.shape[0]
     zs = np.asarray(zs, dtype=complex).ravel()
@@ -183,18 +181,19 @@ def _resolvent_norms(B, zs) -> tuple[np.ndarray, np.ndarray]:
         shifted -= B
         s = np.linalg.svd(shifted, compute_uv=False)
         smin, smax = s[:, -1], s[:, 0]
-        bad = smin <= 1e-14 * smax
+        with np.errstate(divide="ignore", over="ignore"):
+            inverse = 1.0 / smin
+        bad = (smin <= 1e-14 * smax) | (inverse == math.inf)
         singular[part] = bad
-        with np.errstate(divide="ignore"):
-            norms[part] = np.where(bad, math.inf, 1.0 / smin)
+        norms[part] = np.where(bad, math.inf, inverse)
     return norms[back], singular[back]
 
 
 def resolvent_norm(B, z) -> float:
     """The norm of (z - B)^-1, computed as 1/sigma_min(z I - B).
 
-    Raises :class:`Singular` when sigma_min <= 1e-14 sigma_max: z is then
-    numerically in the spectrum.
+    Raises :class:`Singular` when sigma_min <= 1e-14 sigma_max or when
+    1/sigma_min overflows: z is then numerically in the spectrum.
     """
     B = as_square_matrix(B, "B")
     z = complex(z)
@@ -206,9 +205,6 @@ def resolvent_norm(B, z) -> float:
 
 # Unit roundoff of IEEE double precision.
 _U = 2.0**-53
-# The Cholesky test decides a centre when its rounding allowance is at most
-# this share of s**2; a bound that close to rounding level falls back to the SVD.
-_DECIDES = 2.0**-10
 # Bytes of one stack of Gram matrices.  Forming and factoring a stack holds
 # up to three such stacks at once (shifted matrices, a conjugate copy or the
 # Gram, the factors): one 133 x 133 complex matrix per stack, several
@@ -221,15 +217,14 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
+def _sigma_min_test(B, zs, s: float) -> np.ndarray:
     """Prove sigma_min(z I - B) >= s at every z in ``zs`` with one Cholesky test.
 
-    B is a nonempty square matrix.  Returns ``(proved, decided)``.  Where
-    the rounding allowance c below is at most _DECIDES s**2, the test is
-    decided: A = fl(z I - B) is formed, its Gram fl(A* A) shifted by
-    t = (s + e)**2 + c on the diagonal, and ``proved`` holds where the
-    Cholesky factorization completes.  A centre that is not decided is not
-    factored, and ``proved`` is false there.
+    B is a nonempty square matrix.  Returns where the bound is proved:
+    A = fl(z I - B) is formed, its Gram fl(A* A) shifted by
+    t = (s + e)**2 + c on the diagonal, and the bound holds where the
+    Cholesky factorization completes.  A centre whose t overflows is not
+    factored, and nothing is proved there.
 
     A completed factorization is a proof (Rump, "Verification of positive
     definiteness", BIT 46, 2006), with u the unit roundoff, k = 2m + 2 and
@@ -258,8 +253,8 @@ def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
     m = B.shape[0]
     zs = np.asarray(zs, dtype=complex).ravel()
     shifts, back = _conjugate_pairs(B, zs)
-    # Entries above about 1e154 square to inf: t is then infinite, the
-    # centre undecided, and the SVD rule of the caller decides it.
+    # Entries above about 1e154 square to inf: t is then infinite, and the
+    # centre is not factored.
     with np.errstate(over="ignore"):
         off_diagonal_sq = B.real**2 + B.imag**2
         np.fill_diagonal(off_diagonal_sq, 0.0)
@@ -270,12 +265,12 @@ def _sigma_min_test(B, zs, s: float) -> tuple[np.ndarray, np.ndarray]:
         real = (shifts.imag == 0) if np.isrealobj(B) else np.zeros(shifts.shape, dtype=bool)
         w = np.where(real, _gamma(m + 1), math.sqrt(2.0) * _gamma(2 * m + 2))
         t = ((s + e) ** 2 + 3.0 * w * F + m * 2.0**-1070) * (1.0 + 8.0 * _U)
-    decided = t <= (1.0 + _DECIDES) * s * s
+    finite = t < math.inf
     proved = np.zeros(shifts.shape, dtype=bool)
-    for group, points in ((decided & real, shifts.real), (decided & ~real, shifts)):
+    for group, points in ((finite & real, shifts.real), (finite & ~real, shifts)):
         if group.any():
             proved[group] = _factors(B, points[group], t[group])
-    return proved[back], decided[back]
+    return proved[back]
 
 
 def _factors(B, shifts, t) -> np.ndarray:
@@ -335,55 +330,44 @@ def _neumann_squares(B, centres, side, bound, meets, cap) -> tuple[bool, int, fl
     2u (level + 2) max |z0| for the rounding of the centres' coordinates:
     a square the test proves is covered, and any other splits in four, the
     quarters for which ``meets(kids, side)`` holds going on.  A centre the
-    test fails is tested again at s = 1/bound: failing that too, its norm
-    is above ``bound`` and the cover stops, which only saves work.  A centre
-    the test cannot decide follows the dense SVD's rule: rho = ||R(z0)||,
-    covered when the enclosure rho / (1 - rho r) is within ``bound``, the
-    cover stopped when rho exceeds it or z0 is singular.  A level that would
-    take the evaluations past ``cap`` also leaves the cover unfinished.
+    test fails is tested again at s = 1/bound, and where that fails too the
+    cover stops: either the norm at the centre exceeds ``bound``, or the
+    test's rounding allowance is too large to prove even 1/bound there.  A
+    level that would take the evaluations past ``cap`` also leaves the cover
+    unfinished.
 
-    Returns ``(passed, evaluations, largest norm bound shown on a covered
-    square)``: ``bound`` on a square the test proved, the enclosure on one
-    the SVD decided.  A passed cover whose squares the test decided proves
-    every square free of spectrum with norm at most ``bound``.
+    Returns ``(passed, evaluations, norm bound shown on the covered
+    squares)``, the last ``bound`` once a square is covered and 0.0 before.
+    A passed cover proves every square free of spectrum with norm at most
+    ``bound``, rounding included.
     """
     corners = 0.5 * np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])
-    evals, enclosed, level = 0, 0.0, 0
+    evals, level, shown = 0, 0, False
     while centres.size and evals + centres.size <= cap:
         evals += centres.size
-        covered, stop, enclosure = _decide_squares(B, centres, side, bound, level)
-        if stop.any():
+        covered, stop = _decide_squares(B, centres, side, bound, level)
+        if stop:
             break
-        enclosed = max(enclosed, float(enclosure[covered].max(initial=0.0)))
+        shown = shown or bool(covered.any())
         side *= 0.5
         level += 1
         kids = (centres[~covered, None] + side * corners).ravel()
         centres = kids[meets(kids, side)]
-    return not centres.size, evals, enclosed
+    return not centres.size, evals, (bound if shown else 0.0)
 
 
-def _decide_squares(B, centres, side, bound, level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(covered, stop, enclosure)`` of each square of one level; see :func:`_neumann_squares`."""
+def _decide_squares(B, centres, side, bound, level) -> tuple[np.ndarray, bool]:
+    """``(covered, stop)`` of one level of squares; see :func:`_neumann_squares`."""
     r = side / math.sqrt(2.0) + 2.0 * _U * (level + 2) * float(np.abs(centres).max())
-    covered, decided = _sigma_min_test(B, centres, (r + 1.0 / bound) * (1.0 + 8.0 * _U))
-    stop = np.zeros(centres.shape, dtype=bool)
-    failed = decided & ~covered
-    if failed.any():
-        held, again = _sigma_min_test(B, centres[failed], 1.0 / bound)
-        stop[failed] = again & ~held
-        decided[failed] = again  # undecided at 1/bound: the SVD's rule decides
-    enclosure = np.where(covered, bound, math.inf)
-    if not decided.all():
-        rho = _resolvent_norms(B, centres[~decided])[0]  # +inf at a singular centre
-        slack = 1.0 - rho * side / math.sqrt(2.0)
-        svd_enclosure = np.divide(rho, slack, out=np.full_like(rho, math.inf), where=slack > 0)
-        enclosure[~decided] = svd_enclosure
-        covered[~decided] = svd_enclosure <= bound
-        stop[~decided] = rho > bound
-    return covered, stop, enclosure
+    covered = _sigma_min_test(B, centres, (r + 1.0 / bound) * (1.0 + 8.0 * _U))
+    stop = not covered.all() and not _sigma_min_test(B, centres[~covered], 1.0 / bound).all()
+    return covered, stop
 
 
-_COVER_EVALS = 802  # square centres a cover may test: the points of two 401-point sweeps
+# Square centres a cover may test.  The cap bounds the cover's work, at most
+# two Gram products and Cholesky tests of an m x m matrix per centre, and the
+# first row of squares, which is refused unbuilt when it would hold more.
+_COVER_EVALS = 802
 
 
 def resolvent_cover(B, a: float, bound: float) -> CoverReport:
@@ -661,9 +645,6 @@ def fit_decay_rate(trace: TrajectoryTrace) -> float:
     """Least-squares slope of -log||U(t)|| over the trailing fit window.
 
     The window is the second half of the time range (skipping transients).
-    If the norms oscillate (more than four sign changes in the discrete
-    derivative) the fit uses local maxima only, which tracks the envelope
-    of rotating modes instead of averaging through it.
     """
     t = np.asarray(trace.times, dtype=float)
     n = np.asarray(trace.state_norms, dtype=float)
@@ -674,14 +655,6 @@ def fit_decay_rate(trace: TrajectoryTrace) -> float:
         raise TooFewSamples(f"only {tw.size} samples in the fit window, need 10")
     if np.any(nw <= 1e-30):
         raise Underflow("state norms vanish inside the fit window")
-
-    d = np.diff(nw)
-    sign_changes = int(np.count_nonzero(d[:-1] * d[1:] < 0))
-    if sign_changes > 4:
-        interior = np.arange(1, nw.size - 1)
-        peaks = interior[(nw[interior] >= nw[interior - 1]) & (nw[interior] >= nw[interior + 1])]
-        if peaks.size >= 2:
-            tw, nw = tw[peaks], nw[peaks]
     if float(np.abs(tw).max()) > math.sqrt(float(np.finfo(float).max) / tw.size):
         raise ParameterOutOfRange(f"the fit's sum of squared times overflows at t = {tw.max():.6g}")
     slope = np.polyfit(tw, -np.log(nw), 1)[0]

@@ -316,17 +316,17 @@ def test_simulate_refuses_a_step_that_overflows(scalar_problem, tmp_path, capsys
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_certify_of_a_huge_coupling_ends_in_one_typed_line(tmp_path, capsys):
-    # C = 1e160: the Cholesky allowance and the restriction defects square
-    # entries above 1e154, which overflowed with warnings before the
-    # trajectory's typed refusal was reached.
+    # C = 1e160: the Cholesky allowance squares entries above 1e154, so it
+    # overflows, without a warning; no square is proved, and the
+    # small-frequency audit fails after its 20 halvings.
     problem, out = str(tmp_path / "p.json"), tmp_path / "r.json"
     cli.dump_problem(sc.validate_system([[1.0]], [[1.0]], [[1.0]], [[1e160]]), problem)
     assert main(["certify", problem, "-o", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])
-    assert error["error"] == "ParameterOutOfRange"
-    assert error["detail"].startswith("the trajectory overflows")
+    assert error["error"] == "CertificateFailure"
+    assert error["detail"].startswith("small-frequency audit failed after 20 halvings")
     assert not out.exists()
 
 
